@@ -11,12 +11,11 @@ import scala.collection.mutable
   * θ is scaled down from the paper's 10⁶ (estimator error ≪ method gaps at
   * our graph sizes), and every bench reuses one ℓ=5 sampling pass per dataset
   * via piece-prefix restriction. BAB/BAB-P terminate at the paper's 1 % gap
-  * with a bound-call cap as a safety valve.
+  * with a 60-call bound cap as a safety valve (both fixed in
+  * `ExperimentRunner.runAll`).
   */
 object BenchConfig {
   val MaxEll = 5
-  val GapTol = 0.01
-  val MaxBoundCalls = 60
 
   def thetaOf(spec: GraphSpec): Int = if (spec.name == "lastfm") 20000 else 10000
 

@@ -18,8 +18,7 @@ class BenchEpsilon extends BenchBase {
     test(s"Figure 3 — vary epsilon on ${spec.name}") {
       val prep = ExperimentRunner.restrict(prepared(spec), 3)
       val results = epsilons.map { eps =>
-        eps -> ExperimentRunner.runAll(prep, k, params, eps = eps, methods = Set("BAB-P"),
-          gapTol = BenchConfig.GapTol, maxBoundCalls = BenchConfig.MaxBoundCalls).head
+        eps -> ExperimentRunner.runAll(prep, k, params, eps = eps, methods = Set("BAB-P")).head
       }
       val rows = results.map { case (eps, r) =>
         Seq(spec.name, eps.toString, fmt(r.utility), r.timeMs.toString, r.tauEvals.toString)

@@ -19,8 +19,7 @@ class BenchSpeedup extends BenchBase {
       k <- Seq(50, 100)
     } yield {
       val prep = ExperimentRunner.restrict(prepared(spec), 3)
-      val rs = ExperimentRunner.runAll(prep, k, params, methods = Set("BAB", "BAB-P"),
-        gapTol = BenchConfig.GapTol, maxBoundCalls = BenchConfig.MaxBoundCalls)
+      val rs = ExperimentRunner.runAll(prep, k, params, methods = Set("BAB", "BAB-P"))
       val bab = rs.find(_.name == "BAB").get
       val pro = rs.find(_.name == "BAB-P").get
       val speedup = bab.timeMs.toDouble / math.max(pro.timeMs, 1L)

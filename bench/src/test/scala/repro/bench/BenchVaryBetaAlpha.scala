@@ -17,8 +17,7 @@ class BenchVaryBetaAlpha extends BenchBase {
     test(s"Figure 6 — vary beta/alpha on ${spec.name}") {
       val prep = ExperimentRunner.restrict(prepared(spec), 3)
       val rows = ratios.flatMap { ratio =>
-        val rs = ExperimentRunner.runAll(prep, k, LogisticParams.fromRatio(ratio),
-          gapTol = BenchConfig.GapTol, maxBoundCalls = BenchConfig.MaxBoundCalls)
+        val rs = ExperimentRunner.runAll(prep, k, LogisticParams.fromRatio(ratio))
         val byName = rs.map(r => r.name -> r).toMap
         assert(byName("BAB").utility >= byName("TIM").utility * 0.999, s"ratio=$ratio")
         assert(byName("BAB").utility >= byName("IM").utility - 1e-9, s"ratio=$ratio")
@@ -34,8 +33,7 @@ class BenchVaryBetaAlpha extends BenchBase {
       val prep = ExperimentRunner.restrict(prepared(spec), 3)
       def at(ratio: Double): Map[String, Double] =
         ExperimentRunner.runAll(prep, k, LogisticParams.fromRatio(ratio),
-          methods = Set("TIM", "BAB"),
-          gapTol = BenchConfig.GapTol, maxBoundCalls = BenchConfig.MaxBoundCalls)
+          methods = Set("TIM", "BAB"))
           .map(r => r.name -> r.utility).toMap
       val hard = at(0.3)
       val easy = at(0.7)

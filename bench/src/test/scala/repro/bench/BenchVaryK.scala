@@ -16,8 +16,7 @@ class BenchVaryK extends BenchBase {
     test(s"Figure 4 — vary k on ${spec.name}") {
       val prep = ExperimentRunner.restrict(prepared(spec), 3)
       val rows = ks.flatMap { k =>
-        val rs = ExperimentRunner.runAll(prep, k, params,
-          gapTol = BenchConfig.GapTol, maxBoundCalls = BenchConfig.MaxBoundCalls)
+        val rs = ExperimentRunner.runAll(prep, k, params)
         val byName = rs.map(r => r.name -> r).toMap
         // Shape: BAB beats both IM-style baselines; BAB-P stays close to BAB.
         assert(byName("BAB").utility >= byName("IM").utility - 1e-9, s"k=$k")
@@ -35,8 +34,7 @@ class BenchVaryK extends BenchBase {
     BenchConfig.datasets.foreach { spec =>
       val prep = ExperimentRunner.restrict(prepared(spec), 3)
       val utils = ks.map { k =>
-        ExperimentRunner.runAll(prep, k, params, methods = Set("BAB"),
-          gapTol = BenchConfig.GapTol, maxBoundCalls = BenchConfig.MaxBoundCalls)
+        ExperimentRunner.runAll(prep, k, params, methods = Set("BAB"))
           .head.utility
       }
       utils.sliding(2).foreach { case Seq(a, b) =>

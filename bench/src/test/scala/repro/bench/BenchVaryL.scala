@@ -18,8 +18,7 @@ class BenchVaryL extends BenchBase {
       val full = prepared(spec)
       val rows = (1 to BenchConfig.MaxEll).flatMap { ell =>
         val prep = ExperimentRunner.restrict(full, ell)
-        val rs = ExperimentRunner.runAll(prep, k, params,
-          gapTol = BenchConfig.GapTol, maxBoundCalls = BenchConfig.MaxBoundCalls)
+        val rs = ExperimentRunner.runAll(prep, k, params)
         val byName = rs.map(r => r.name -> r).toMap
         assert(byName("BAB").utility >= byName("TIM").utility * 0.999, s"l=$ell")
         assert(byName("BAB").utility >= byName("IM").utility - 1e-9, s"l=$ell")
@@ -38,8 +37,7 @@ class BenchVaryL extends BenchBase {
       val full = prepared(spec)
       def gainAt(ell: Int): Double = {
         val prep = ExperimentRunner.restrict(full, ell)
-        val rs = ExperimentRunner.runAll(prep, k, params, methods = Set("TIM", "BAB"),
-          gapTol = BenchConfig.GapTol, maxBoundCalls = BenchConfig.MaxBoundCalls)
+        val rs = ExperimentRunner.runAll(prep, k, params, methods = Set("TIM", "BAB"))
         val byName = rs.map(r => r.name -> r.utility).toMap
         byName("BAB") / math.max(byName("TIM"), 1e-9)
       }

@@ -3,17 +3,14 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** Adoption-utility estimators over sampled MRR sets.
+/** Adoption-utility estimator over sampled MRR sets in Spark SQL.
   *
-  * `inMemory` delegates to [[CoverageIndex]]; `dataFrame` computes the same
-  * estimate purely in Spark SQL so the arithmetic can be cross-checked against
-  * DuckDB with `Oracle.assertEquivalent` (tests do exactly that).
+  * `dataFrame` computes the same estimate as [[CoverageIndex]]`.auOfPlan`
+  * (Eqn 6, with Eqn 1's zero case) purely in Spark SQL, so the arithmetic can
+  * be cross-checked against the in-memory index and against DuckDB with
+  * `Oracle.assertEquivalent` (tests do exactly that).
   */
 object AuEvaluator {
-
-  /** AU of a plan via the in-memory index (Eqn 6, with Eqn 1's zero case). */
-  def inMemory(idx: CoverageIndex, plan: Plan, params: LogisticParams): Double =
-    idx.auOfPlan(plan, params)
 
   /** Per-sample coverage counts as a DataFrame: join MRR membership
     * `(sample, piece, v)` against the plan's `(piece, v)` assignments, count

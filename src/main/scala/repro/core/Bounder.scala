@@ -101,64 +101,20 @@ private[core] final class BoundState(val idx: CoverageIndex, val env: EnvelopeTa
 
 /** Algorithm 2: greedy τ-maximizing selection.
   *
-  * By default `computeBound` is the paper's literal plain-scan greedy —
-  * O(k·|free|) marginal evaluations per call — because the evaluation's
-  * BAB-vs-BAB-P speedup comparison is defined against that cost profile.
-  * With `useCelf = true` the CELF lazy-evaluation variant is used instead; it
-  * returns exactly the same set because τ is submodular (ties break toward
-  * the lower candidate index in both variants; equality is pinned by tests).
+  * `computeBound` is the paper's literal plain-scan greedy — O(k·|free|)
+  * marginal evaluations per call — because the evaluation's BAB-vs-BAB-P
+  * speedup comparison is defined against that cost profile.
   */
 final class GreedyBounder(
     val idx: CoverageIndex,
     val env: EnvelopeTable,
     val order: Array[Int],
-    params: LogisticParams,
-    useCelf: Boolean = false) extends Bounder {
+    params: LogisticParams) extends Bounder {
 
   private var evals = 0L
   override def tauEvals: Long = evals
 
-  override def computeBound(base: Array[Int], freeFrom: Int, k: Int): BoundResult =
-    if (useCelf) computeBoundCelf(base, freeFrom, k)
-    else computeBoundPlain(base, freeFrom, k)
-
-  /** CELF lazy greedy — identical selection, far fewer τ evaluations. */
-  def computeBoundCelf(base: Array[Int], freeFrom: Int, k: Int): BoundResult = {
-    val st = new BoundState(idx, env, base)
-    val kPrime = k - base.length
-    val selected = mutable.ArrayBuffer.empty[Int]
-
-    if (kPrime > 0 && freeFrom < order.length) {
-      // (gain, candidate, freshness round); max by gain, ties to low index.
-      implicit val ord: Ordering[(Double, Int, Int)] =
-        Ordering.by[(Double, Int, Int), (Double, Int)](e => (e._1, -e._2))
-      val pq = mutable.PriorityQueue.empty[(Double, Int, Int)]
-      var i = freeFrom
-      while (i < order.length) {
-        val c = order(i)
-        evals += 1
-        pq.enqueue((st.gainOf(c), c, 0))
-        i += 1
-      }
-      var round = 0
-      while (selected.length < kPrime && pq.nonEmpty) {
-        val (g, c, r) = pq.dequeue()
-        if (r == round) {
-          if (g > 0) { st.select(c); selected += c; round += 1 }
-          else { pq.clear() } // all remaining gains are ≤ 0 — stop early
-        } else {
-          evals += 1
-          pq.enqueue((st.gainOf(c), c, round))
-        }
-      }
-    }
-    BoundResult((base ++ selected).sorted, st.sigma(params), idx.scale * st.tauRaw)
-  }
-
-  /** Plain-scan greedy reference (no CELF) — used by tests to pin CELF
-    * equivalence; O(k·|free|) gain evaluations like the paper's Algorithm 2.
-    */
-  def computeBoundPlain(base: Array[Int], freeFrom: Int, k: Int): BoundResult = {
+  override def computeBound(base: Array[Int], freeFrom: Int, k: Int): BoundResult = {
     val st = new BoundState(idx, env, base)
     val kPrime = k - base.length
     val selected = mutable.ArrayBuffer.empty[Int]
@@ -174,8 +130,7 @@ final class GreedyBounder(
         if (!taken.contains(c)) {
           evals += 1
           val g = st.gainOf(c)
-          // Strictly-better wins; exact ties go to the lower candidate index,
-          // matching the CELF queue's ordering.
+          // Strictly-better wins; exact ties go to the lower candidate index.
           if (g > bestG || (g == bestG && g > 0 && (bestC < 0 || c < bestC))) {
             bestG = g; bestC = c
           }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.core.Logistic.{sigmoid, sigmoidDeriv}
+import repro.core.Logistic.sigmoid
 
 /** Tangent-line upper bound on the logistic S-curve (§V-B, Algorithm 4).
   *
@@ -64,10 +64,6 @@ object TangentBound {
       if (x <= t) sigmoid(x0) + w * (x - x0) else sigmoid(x)
     }
   }
-
-  /** Slope of the envelope just right of the anchor (used only for inspection). */
-  def envelopeSlope(x0: Double): Double =
-    if (x0 >= 0) sigmoidDeriv(x0) else refineSlope(x0)
 }
 
 /** Precomputed envelope values over integer coverage counts.

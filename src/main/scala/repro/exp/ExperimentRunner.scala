@@ -88,14 +88,20 @@ object ExperimentRunner {
   def restrict(prep: Prepared, ell: Int): Prepared =
     prep.copy(pieces = prep.pieces.take(ell), idx = prep.idx.takePieces(ell))
 
+  /** BAB/BAB-P stop at the paper's 1 % bound gap (§VI-A). */
+  private val GapTol = 0.01
+
+  /** Safety valve on ComputeBound calls per BAB/BAB-P search; on hit the
+    * search returns its best plan so far with the gap still open.
+    */
+  private val MaxBoundCalls = 60
+
   /** Run the four compared methods on one configuration. */
   def runAll(
       prep: Prepared,
       k: Int,
       params: LogisticParams,
       eps: Double = 0.5,
-      gapTol: Double = 0.01,
-      maxBoundCalls: Int = 2000,
       methods: Set[String] = Set("IM", "TIM", "BAB", "BAB-P")): Seq[MethodResult] = {
     val out = Seq.newBuilder[MethodResult]
     if (methods("IM")) {
@@ -106,7 +112,7 @@ object ExperimentRunner {
       val r = Baselines.runTIM(prep.idx, params, k)
       out += MethodResult("TIM", r.sigma, r.elapsedMs)
     }
-    val cfg = BabConfig(k, gapTol, maxBoundCalls)
+    val cfg = BabConfig(k, GapTol, MaxBoundCalls)
     if (methods("BAB")) {
       val r = BranchAndBound.runGreedy(prep.idx, params, cfg)
       out += MethodResult("BAB", r.sigma, r.elapsedMs, r.tauEvals, r.boundCalls, r.gap)

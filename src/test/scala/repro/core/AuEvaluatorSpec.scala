@@ -28,15 +28,15 @@ class AuEvaluatorSpec extends SparkSpec {
   test("in-memory and DataFrame estimators agree on random plans") {
     for (n <- Seq(1, 3, 6, 10)) {
       val plan = somePlan(n)
-      val a = AuEvaluator.inMemory(idx, plan, params)
+      val a = idx.auOfPlan(plan, params)
       val b = AuEvaluator.evaluate(spark, mrr, plan, params, Datasets.mini.nVertices, theta)
-      assert(math.abs(a - b) < 1e-9, s"n=$n: inMemory=$a dataFrame=$b")
+      assert(math.abs(a - b) < 1e-9, s"n=$n: auOfPlan=$a dataFrame=$b")
     }
   }
 
   test("empty plan evaluates to zero on both paths") {
     val plan = Plan.empty(pieces.length)
-    assert(AuEvaluator.inMemory(idx, plan, params) == 0.0)
+    assert(idx.auOfPlan(plan, params) == 0.0)
     assert(AuEvaluator.evaluate(spark, mrr, plan, params, Datasets.mini.nVertices, theta) == 0.0)
   }
 
@@ -79,7 +79,7 @@ class AuEvaluatorSpec extends SparkSpec {
   test("AU estimate is monotone in the plan") {
     val small = somePlan(2)
     val big = somePlan(8)
-    assert(AuEvaluator.inMemory(idx, small, params) <= AuEvaluator.inMemory(idx, big, params))
+    assert(idx.auOfPlan(small, params) <= idx.auOfPlan(big, params))
   }
 
   test("the estimator converges to the exact sigma on Example 1") {

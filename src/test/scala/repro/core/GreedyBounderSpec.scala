@@ -12,31 +12,6 @@ class GreedyBounderSpec extends AnyFunSuite {
     new GreedyBounder(idx, env, BranchAndBound.defaultOrder(idx), params)
   }
 
-  test("CELF returns exactly the plain greedy selection on many random instances") {
-    for (seed <- 1 to 20) {
-      val idx = SyntheticIndex.random(theta = 40, ell = 2, nPromoters = 6,
-        nVertices = 100, density = 0.25, seed = seed.toLong)
-      val b = bounderFor(idx)
-      val celf = b.computeBoundCelf(Array.empty, 0, 4)
-      val plain = b.computeBoundPlain(Array.empty, 0, 4)
-      assert(celf.complete.toSeq == plain.complete.toSeq, s"seed=$seed")
-      assert(math.abs(celf.sigma - plain.sigma) < 1e-12)
-      assert(math.abs(celf.tau - plain.tau) < 1e-12)
-    }
-  }
-
-  test("CELF equals plain greedy under a non-empty base plan") {
-    for (seed <- 1 to 10) {
-      val idx = SyntheticIndex.random(theta = 30, ell = 3, nPromoters = 5,
-        nVertices = 60, density = 0.3, seed = 100L + seed)
-      val b = bounderFor(idx)
-      val base = Array(0, idx.ell) // first promoter on two pieces
-      val celf = b.computeBoundCelf(base, 2, 5)
-      val plain = b.computeBoundPlain(base, 2, 5)
-      assert(celf.complete.toSeq == plain.complete.toSeq, s"seed=$seed")
-    }
-  }
-
   test("greedy tau achieves at least (1 - 1/e) of the brute-force tau optimum") {
     val ratio = 1.0 - math.exp(-1.0)
     for (seed <- 1 to 15) {

@@ -100,7 +100,7 @@ class ProgressiveBounderSpec extends AnyFunSuite {
     val order = BranchAndBound.defaultOrder(idx)
     val greedy = new GreedyBounder(idx, env, order, params)
     val pro = new ProgressiveBounder(idx, env, order, params, 0.5)
-    greedy.computeBoundPlain(Array.empty, 0, 10)
+    greedy.computeBound(Array.empty, 0, 10)
     pro.computeBound(Array.empty, 0, 10)
     assert(pro.tauEvals <= greedy.tauEvals,
       s"progressive=${pro.tauEvals} plain=${greedy.tauEvals}")

@@ -44,6 +44,8 @@ class ExperimentRunnerSpec extends SparkSpec {
     assert(rs.map(_.name) == Seq("IM", "TIM", "BAB", "BAB-P"))
     rs.foreach(r => assert(r.utility > 0, s"${r.name} utility=${r.utility}"))
     rs.foreach(r => assert(r.timeMs >= 0))
+    rs.filter(r => r.name.startsWith("BAB")).foreach(r =>
+      assert(r.boundCalls <= 60, s"${r.name} boundCalls=${r.boundCalls}"))
   }
 
   test("BAB dominates the baselines; BAB-P stays close to BAB") {
