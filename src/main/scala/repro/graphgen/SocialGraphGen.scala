@@ -10,7 +10,7 @@ import repro.util.HashRng
   * @param nVertices      |V| — vertex ids are dense in [0, nVertices)
   * @param targetEdges    |E| target; the generator draws with a margin and
   *                       deduplicates, so the realised count can fall a few
-  *                       percent short (reported by `DatasetStats`)
+  *                       percent short (reported by `BenchDatasetStats`)
   * @param numTopics      |Z|
   * @param topicsPerEdge  number of non-zero p(e|z) entries drawn per edge
   *                       (tweet-like graphs have ~1.5, lastfm-like more)

@@ -1,7 +1,6 @@
 package repro.influence
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.util.HashRng
 import scala.collection.mutable
 
@@ -13,29 +12,23 @@ import scala.collection.mutable
   * Output rows are `(sample: Int, piece: Int, v: Long)` — the union of all RR
   * memberships, root included.
   *
-  * Edge liveness is a pure hash of `(seed, sample, piece, src, dst)`, so
+  * Edge liveness is a pure hash of `(seed, sample, piece, src, dst)`, so one
+  * (sample, piece) pair sees one fixed live-edge world — the exact live-edge
+  * semantics RR sets require — and any reverse closure over the live edges
+  * of that world reproduces the sampler's rows exactly (tests compare against
+  * such a driver-side reference).
   *
-  *   - one (sample, piece) pair sees one fixed live-edge world, the exact
-  *     live-edge semantics RR sets require, and
-  *   - the two engines below produce bit-identical outputs (tested):
-  *
-  * `sampleIterative` — an iterative DataFrame job: the frontier is joined
-  * against the per-piece edge table each round, coins filter live edges, an
-  * anti-join against the visited set dedupes, and `localCheckpoint` truncates
-  * lineage. This is the distributed-dataflow path.
-  *
-  * `sampleBroadcast` — reverse adjacency is collected and broadcast; samples
-  * are partitioned across executors and each runs a local reverse BFS. Much
-  * faster when the graph fits an executor, which all bench profiles do.
+  * `sampleBroadcast` collects each piece's reverse adjacency and broadcasts
+  * it; samples are partitioned across executors and each runs a local reverse
+  * BFS.
   */
 object MrrSampler {
 
   private val TagRoot = 201L
   private val TagCoin = 202L
 
-  final case class MrrConfig(theta: Int, seed: Long = 1L, maxIters: Int = 64) {
+  final case class MrrConfig(theta: Int, seed: Long = 1L) {
     require(theta > 0, s"theta must be positive, got $theta")
-    require(maxIters > 0, s"maxIters must be positive, got $maxIters")
   }
 
   /** The root user of sample `i` — uniform over [0, n). */
@@ -46,58 +39,8 @@ object MrrSampler {
   def edgeAlive(sample: Int, piece: Int, src: Long, dst: Long, p: Double, seed: Long): Boolean =
     HashRng.uniform(seed, TagCoin, sample.toLong, piece.toLong, src, dst) < p
 
-  /** Distributed-dataflow sampler: iterative frontier expansion as DataFrame
-    * joins over the edge table.
-    */
-  def sampleIterative(
-      spark: SparkSession,
-      edges: DataFrame,
-      n: Long,
-      pieces: Seq[Piece],
-      cfg: MrrConfig): DataFrame = {
-    import spark.implicits._
-    val seed = cfg.seed
-
-    val pe = TopicGraph.influenceGraphs(edges, pieces)
-      .select(col("piece").as("epiece"), col("src").as("esrc"), col("dst").as("edst"), col("p"))
-      .persist()
-    pe.count() // materialize once; reused every round
-
-    val rootUdf = udf((sample: Int) => rootOf(sample, n, seed))
-    val pieceIdx = typedLit(pieces.indices.toList)
-    var visited = spark.range(cfg.theta)
-      .select(col("id").cast("int").as("sample"), explode(pieceIdx).as("piece"))
-      .withColumn("v", rootUdf(col("sample")))
-      .localCheckpoint(true)
-    var frontier = visited
-
-    val coinUdf = udf((sample: Int, piece: Int, src: Long, dst: Long) =>
-      HashRng.uniform(seed, TagCoin, sample.toLong, piece.toLong, src, dst))
-
-    var iter = 0
-    var done = false
-    while (!done && iter < cfg.maxIters) {
-      val cand = frontier
-        .join(pe, frontier("piece") === pe("epiece") && frontier("v") === pe("edst"))
-        .where(coinUdf(col("sample"), col("piece"), col("esrc"), col("edst")) < col("p"))
-        .select(col("sample"), col("piece"), col("esrc").as("v"))
-        .distinct()
-      val newFrontier = cand
-        .join(visited, Seq("sample", "piece", "v"), "left_anti")
-        .localCheckpoint(true)
-      if (newFrontier.isEmpty) done = true
-      else {
-        visited = visited.union(newFrontier).localCheckpoint(true)
-        frontier = newFrontier
-      }
-      iter += 1
-    }
-    pe.unpersist()
-    visited
-  }
-
-  /** Broadcast sampler: same semantics, samples partitioned across the
-    * cluster, graph shipped once as reverse-CSR adjacency per piece.
+  /** Samples partitioned across the cluster, graph shipped once as
+    * reverse-CSR adjacency per piece.
     */
   def sampleBroadcast(
       spark: SparkSession,

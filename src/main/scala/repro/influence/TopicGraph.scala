@@ -2,7 +2,6 @@ package repro.influence
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
 
 /** A viral piece: a probability distribution over the hidden topics Z.
   *
@@ -55,12 +54,6 @@ object TopicGraph {
   /** Canonical edge row type for driver-side (exact/simulated) evaluation. */
   final case class TopicEdge(src: Long, dst: Long, probs: Array[Double])
 
-  val schema: StructType = StructType(Seq(
-    StructField("src", LongType, nullable = false),
-    StructField("dst", LongType, nullable = false),
-    StructField("probs", ArrayType(DoubleType, containsNull = false), nullable = false),
-  ))
-
   /** Build the edge DataFrame from in-memory edges (tests, examples). */
   def fromEdges(spark: SparkSession, edges: Seq[TopicEdge]): DataFrame = {
     val arity = edges.headOption.map(_.probs.length)
@@ -78,17 +71,6 @@ object TopicGraph {
     edges
       .select(col("src"), col("dst"), dot(col("probs")).as("p"))
       .where(col("p") > 0)
-  }
-
-  /** Union of all per-piece influence graphs, tagged by piece index:
-    * `(piece, src, dst, p)`. This is the one table the MRR sampler joins
-    * against every frontier round.
-    */
-  def influenceGraphs(edges: DataFrame, pieces: Seq[Piece]): DataFrame = {
-    require(pieces.nonEmpty, "need at least one piece")
-    pieces.zipWithIndex
-      .map { case (t, j) => influenceGraph(edges, t).select(lit(j).as("piece"), col("src"), col("dst"), col("p")) }
-      .reduce(_ unionByName _)
   }
 
   /** Collect edges to the driver (exact oracle / forward simulator inputs). */

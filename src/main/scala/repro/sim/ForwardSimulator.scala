@@ -1,6 +1,5 @@
 package repro.sim
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{LogisticParams, Plan}
 import repro.influence.Piece
 import repro.influence.TopicGraph.TopicEdge
@@ -14,7 +13,8 @@ import repro.util.HashRng
   * influence graph (independent coins per round × piece × edge), counts the
   * distinct pieces reaching each user, and averages Eqn (1) adoption
   * probabilities. Coins come from [[HashRng]] with a tag disjoint from the
-  * sampler's, so the two estimators are statistically independent.
+  * sampler's, so the two estimators are statistically independent. It runs
+  * on the driver over collected edges: a test-time reference, not a solver.
   */
 object ForwardSimulator {
 
@@ -78,30 +78,5 @@ object ForwardSimulator {
       r += 1
     }
     total / rounds
-  }
-
-  /** Spark variant: rounds are partitioned across executors, graph broadcast. */
-  def sigmaSpark(
-      spark: SparkSession,
-      edges: Seq[TopicEdge],
-      nVertices: Long,
-      pieces: Seq[Piece],
-      plan: Plan,
-      params: LogisticParams,
-      rounds: Int,
-      seed: Long = 99L): Double = {
-    import spark.implicits._
-    val adj = spark.sparkContext.broadcast(adjacencies(edges, pieces))
-    val seedSets = plan.seedSets
-    val nPieces = pieces.length
-    val sum = spark.range(rounds)
-      .map { r =>
-        val a = adj.value
-        val reachedBy = (0 until nPieces).map(j => cascade(a(j), seedSets(j), r, j, seed))
-        val touched = reachedBy.foldLeft(Set.empty[Long])(_ ++ _)
-        touched.iterator.map(v => params.adoptionProb(reachedBy.count(_.contains(v)))).sum
-      }
-      .reduce(_ + _)
-    sum / rounds
   }
 }

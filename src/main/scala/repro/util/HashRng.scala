@@ -11,9 +11,8 @@ package repro.util
   *   2. consistency — an edge coin flipped twice in one live-edge world
   *      (e.g. when a reverse BFS reaches a vertex along two paths) lands the
   *      same way, which is exactly the live-edge semantics RR sets need;
-  *   3. cross-engine equality — the DataFrame-based sampler (UDF) and the
-  *      broadcast sampler (driver-side loop) call the same function and thus
-  *      produce bit-identical sample sets.
+  *   3. exact references — a test-side reverse closure that calls the same
+  *      coin function reproduces the MRR sampler's sets row for row.
   *
   * The mixer is splitmix64 (Steele et al.), folded over the argument list.
   */
@@ -59,11 +58,6 @@ object HashRng {
   def uniformInt(n: Int, a: Long, b: Long): Int = {
     require(n > 0, s"uniformInt bound must be positive, got $n")
     (uniform(a, b) * n).toInt.min(n - 1)
-  }
-
-  def uniformInt(n: Int, a: Long, b: Long, c: Long): Int = {
-    require(n > 0, s"uniformInt bound must be positive, got $n")
-    (uniform(a, b, c) * n).toInt.min(n - 1)
   }
 
   /** Uniform long in [0, n). */

@@ -116,4 +116,18 @@ class AuEvaluatorSpec extends SparkSpec {
     val plan = somePlan(4)
     assert(math.abs(doubled.auOfPlan(plan, params) - 2 * idx.auOfPlan(plan, params)) < 1e-9)
   }
+
+  test("CoverageIndex.build keeps promoter rows and rejects out-of-range samples and pieces") {
+    import spark.implicits._
+    def build(rows: (Int, Int, Long)*): CoverageIndex =
+      CoverageIndex.build(rows.toDF("sample", "piece", "v"), 3, 2, 10, Array(7L, 5L))
+    val built = build((0, 0, 5L), (2, 1, 7L), (1, 0, 9L), (2, 1, 7L))
+    assert(built.promoters.toSeq == Seq(5L, 7L))
+    assert(built.coverage(built.candidateOf(5L, 0)).toSeq == Seq(0))
+    assert(built.coverage(built.candidateOf(7L, 1)).toSeq == Seq(2))
+    assert((0 until built.candidateCount).map(built.coverage(_).length).sum == 2,
+      "the non-promoter row (1, 0, 9) must be ignored")
+    intercept[IllegalArgumentException](build((3, 0, 5L)))
+    intercept[IllegalArgumentException](build((0, 2, 5L)))
+  }
 }

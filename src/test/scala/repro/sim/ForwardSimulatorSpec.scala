@@ -21,14 +21,6 @@ class ForwardSimulatorSpec extends SparkSpec {
     assert(math.abs(s - exact) < 1e-9)
   }
 
-  test("Spark and driver variants agree on a deterministic graph") {
-    val d = ForwardSimulator.sigma(ExampleGraphs.edges, 5, ExampleGraphs.pieces,
-      examplePlan, params, rounds = 8)
-    val s = ForwardSimulator.sigmaSpark(spark, ExampleGraphs.edges, 5, ExampleGraphs.pieces,
-      examplePlan, params, rounds = 8)
-    assert(math.abs(d - s) < 1e-9)
-  }
-
   test("empty plan simulates to zero") {
     val s = ForwardSimulator.sigma(ExampleGraphs.edges, 5, ExampleGraphs.pieces,
       Plan.empty(2), params, rounds = 3)
@@ -64,7 +56,7 @@ class ForwardSimulatorSpec extends SparkSpec {
     val plan = Plan.fromAssignments(2,
       promoters.take(6).zipWithIndex.map { case (v, i) => (v, i % 2) })
     val mrrEst = idx.auOfPlan(plan, params)
-    val fwdEst = ForwardSimulator.sigmaSpark(spark, edges, spec.nVertices, pieces,
+    val fwdEst = ForwardSimulator.sigma(edges, spec.nVertices, pieces,
       plan, params, rounds = 4000)
     val tol = 0.05 * math.max(mrrEst, fwdEst) + 0.05
     assert(math.abs(mrrEst - fwdEst) < tol, s"mrr=$mrrEst forward=$fwdEst")

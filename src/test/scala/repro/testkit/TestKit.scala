@@ -1,7 +1,9 @@
 package repro.testkit
 
+import org.apache.spark.sql.DataFrame
 import repro.core.CoverageIndex
-import repro.influence.Piece
+import repro.influence.{MrrSampler, Piece, TopicGraph}
+import repro.influence.MrrSampler.MrrConfig
 import repro.influence.TopicGraph.TopicEdge
 import repro.util.HashRng
 
@@ -33,14 +35,42 @@ object ExampleGraphs {
   /** Deterministic reverse reachability: who reaches `root` under piece `j`. */
   def rrSet(root: Long, piece: Int): Set[Long] = {
     val adj = edges.filter(_.probs(piece) >= 1.0).groupBy(_.dst)
+    RrReference.reverseClosure(root)(v => adj.getOrElse(v, Nil).map(_.src))
+  }
+}
+
+/** Exact driver-side MRR reference: for every (sample, piece) world, the
+  * reverse closure of the sample's root over that world's live edges — the
+  * rows `MrrSampler` must produce, with no sampling engine in between. It
+  * extends [[ExampleGraphs.rrSet]] to graphs whose edges have probabilities.
+  */
+object RrReference {
+
+  /** Everything that reaches `root` when `in(v)` lists the live in-neighbours of `v`. */
+  def reverseClosure(root: Long)(in: Long => Seq[Long]): Set[Long] = {
     var reached = Set(root)
     var frontier = List(root)
     while (frontier.nonEmpty) {
-      val next = frontier.flatMap(v => adj.getOrElse(v, Nil).map(_.src)).filterNot(reached)
+      val next = frontier.flatMap(in).distinct.filterNot(reached)
       reached ++= next
       frontier = next
     }
     reached
+  }
+
+  /** `(sample, piece, v)` rows of the MRR sets `cfg` draws on `edges`. */
+  def rows(edges: DataFrame, n: Long, pieces: Seq[Piece], cfg: MrrConfig): Set[(Int, Int, Long)] = {
+    val byDst = TopicGraph.collectEdges(edges).groupBy(_.dst)
+    (for {
+      sample <- 0 until cfg.theta
+      root = MrrSampler.rootOf(sample, n, cfg.seed)
+      (t, piece) <- pieces.zipWithIndex
+      v <- reverseClosure(root) { dst =>
+        byDst.getOrElse(dst, Nil).collect {
+          case e if MrrSampler.edgeAlive(sample, piece, e.src, dst, t.edgeProb(e.probs), cfg.seed) => e.src
+        }
+      }
+    } yield (sample, piece, v)).toSet
   }
 }
 
