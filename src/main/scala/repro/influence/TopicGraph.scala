@@ -1,7 +1,6 @@
 package repro.influence
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 /** A viral piece: a probability distribution over the hidden topics Z.
   *
@@ -46,8 +45,9 @@ object Piece {
 /** Topic-aware influence graph substrate (§III-A).
   *
   * Edges are a DataFrame with schema `(src: Long, dst: Long, probs: Array
-  * [Double])` where `probs(z) = p(e|z)`. All per-piece influence graphs are
-  * projections of this one table.
+  * [Double])` where `probs(z) = p(e|z)`, vertex ids dense in `[0, n)`. All
+  * per-piece influence graphs are projections of this one table; the sampler
+  * evaluates `p(t, e)` ([[Piece.edgeProb]]) only at the edges it traverses.
   */
 object TopicGraph {
 
@@ -61,16 +61,6 @@ object TopicGraph {
       "all edges must carry the same number of topics")
     import spark.implicits._
     edges.map(e => (e.src, e.dst, e.probs.toSeq)).toDF("src", "dst", "probs")
-  }
-
-  /** Homogeneous influence graph of one piece: `(src, dst, p)` with
-    * `p = piece · probs`, zero-probability edges dropped (Figure 1 b/c).
-    */
-  def influenceGraph(edges: DataFrame, piece: Piece): DataFrame = {
-    val dot = udf((probs: Seq[Double]) => piece.edgeProb(probs.toArray))
-    edges
-      .select(col("src"), col("dst"), dot(col("probs")).as("p"))
-      .where(col("p") > 0)
   }
 
   /** Collect edges to the driver (exact oracle / forward simulator inputs). */

@@ -97,4 +97,57 @@ class MrrSamplerSpec extends SparkSpec {
   test("config validation") {
     intercept[IllegalArgumentException](MrrConfig(theta = 0))
   }
+
+  test("edge endpoints outside [0, n) are rejected on the driver") {
+    val cfg = MrrConfig(theta = 10, seed = 19L)
+    val e = intercept[IllegalArgumentException](
+      MrrSampler.sampleBroadcast(spark, exampleDf, 4, ExampleGraphs.pieces, cfg))
+    assert(e.getMessage.contains("4") && e.getMessage.contains("[0, 4)"), e.getMessage)
+    intercept[IllegalArgumentException](
+      MrrSampler.sampleBroadcast(spark, exampleDf, Int.MaxValue.toLong, ExampleGraphs.pieces, cfg))
+  }
+
+  test("a piece of the wrong topic arity is rejected on the driver") {
+    val cfg = MrrConfig(theta = 10, seed = 23L)
+    val e = intercept[IllegalArgumentException](
+      MrrSampler.sampleBroadcast(spark, exampleDf, 5, Seq(Piece.oneHot(0, 3)), cfg))
+    assert(e.getMessage.contains("arity"), e.getMessage)
+  }
+
+  test("alternating edge tables never reuse a stale graph") {
+    val mini = SocialGraphGen.generate(spark, Datasets.mini)
+    val weak = TopicGraph.fromEdges(spark,
+      ExampleGraphs.edges.map(e => e.copy(probs = e.probs.map(_ * 0.2))))
+    val miniPieces = Seq(Piece.oneHot(0, 5), Piece.oneHot(3, 5))
+    val calls = Seq(
+      (mini, Datasets.mini.nVertices, miniPieces, MrrConfig(theta = 100, seed = 25L)),
+      (weak, 5L, ExampleGraphs.pieces, MrrConfig(theta = 300, seed = 27L)),
+      (exampleDf, 5L, ExampleGraphs.pieces, MrrConfig(theta = 300, seed = 27L)),
+      (mini, Datasets.mini.nVertices, miniPieces, MrrConfig(theta = 100, seed = 29L)))
+    calls.foreach { case (edges, n, pieces, cfg) =>
+      assert(rows(MrrSampler.sampleBroadcast(spark, edges, n, pieces, cfg)) ==
+        RrReference.rows(edges, n, pieces, cfg), s"seed=${cfg.seed}")
+    }
+  }
+
+  test("a lazy result stays valid after another edge table is sampled") {
+    val mini = SocialGraphGen.generate(spark, Datasets.mini)
+    val cfgA = MrrConfig(theta = 100, seed = 31L)
+    val piecesA = Seq(Piece.oneHot(1, 5))
+    val lazyA = MrrSampler.sampleBroadcast(spark, mini, Datasets.mini.nVertices, piecesA, cfgA)
+    rows(MrrSampler.sampleBroadcast(spark, exampleDf, 5, ExampleGraphs.pieces, MrrConfig(theta = 50, seed = 33L)))
+    System.gc()
+    assert(rows(lazyA) == RrReference.rows(mini, Datasets.mini.nVertices, piecesA, cfgA))
+  }
+
+  test("campaigns on one edge table share its graph and each equal the reference") {
+    val mini = SocialGraphGen.generate(spark, Datasets.mini)
+    Seq(
+      (Seq(Piece.oneHot(4, 5)), MrrConfig(theta = 120, seed = 35L)),
+      (Seq(Piece.oneHot(2, 5), Piece.uniformMixture(5)), MrrConfig(theta = 120, seed = 37L)),
+    ).foreach { case (pieces, cfg) =>
+      assert(rows(MrrSampler.sampleBroadcast(spark, mini, Datasets.mini.nVertices, pieces, cfg)) ==
+        RrReference.rows(mini, Datasets.mini.nVertices, pieces, cfg), s"seed=${cfg.seed}")
+    }
+  }
 }
