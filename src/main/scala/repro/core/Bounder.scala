@@ -177,7 +177,9 @@ final class ProgressiveBounder(
       var i = 0
       while (i < free.length) { evals += 1; delta0(i) = st.gainOf(free(i)); i += 1 }
       // Sort by individual gain, descending; ties to low candidate index.
-      val byGain = free.indices.toArray.sortBy(i => (-delta0(i), free(i)))
+      // Zero-gain candidates are left out: h stays above 0, so they would
+      // never be admitted.
+      val byGain = Array.range(0, free.length).filter(delta0(_) > 0).sortBy(i => (-delta0(i), free(i)))
 
       val taken = mutable.Set.empty[Int]
       var h = if (byGain.nonEmpty) delta0(byGain(0)) else 0.0

@@ -49,11 +49,16 @@ object BranchAndBound {
 
   /** Candidate ordering: RR-coverage size descending, index ascending. The
     * individual τ gain at the root is `|coverage|·envGain(0,0)`, so this *is*
-    * the individual-influence order.
+    * the individual-influence order. Sorted as one packed `Long` key per
+    * candidate, `(Int.MaxValue − |coverage|) << 32 | c`, without boxing.
     */
-  def defaultOrder(idx: CoverageIndex): Array[Int] =
-    (0 until idx.candidateCount).toArray
-      .sortBy(c => (-idx.coverage(c).length, c))
+  def defaultOrder(idx: CoverageIndex): Array[Int] = {
+    val keys = Array.tabulate(idx.candidateCount) { c =>
+      (Int.MaxValue - idx.coverage(c).length).toLong << 32 | c
+    }
+    java.util.Arrays.sort(keys)
+    keys.map(_.toInt)
+  }
 
   def run(idx: CoverageIndex, params: LogisticParams, bounder: Bounder, cfg: BabConfig): BabResult = {
     val t0 = System.nanoTime()

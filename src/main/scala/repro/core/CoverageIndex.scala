@@ -1,6 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{IntegerType, LongType}
 import scala.collection.mutable
 
 /** Driver-side inverted index of MRR membership, restricted to the promoter
@@ -8,14 +10,17 @@ import scala.collection.mutable
   * coverage and AU).
   *
   * A *candidate* is one (promoter, piece) assignment; candidate index
-  * `c = promoterIdx * ell + piece`. `coverage(c)` lists the samples whose RR
-  * set for `piece` contains the promoter — selecting the candidate covers
-  * exactly those (sample, piece) cells.
+  * `c = p * ell + piece`, where `p` is the promoter's position in the pool.
+  * `coverage(c)` lists the samples whose RR set for `piece` contains the
+  * promoter — selecting the candidate covers exactly those (sample, piece)
+  * cells. Cells are indexed `sample * ell + piece` in an `Int`, so
+  * `theta * ell` must not exceed `Int.MaxValue`.
   *
   * @param theta     number of MRR samples drawn
   * @param ell       number of viral pieces
   * @param nVertices |V| of the underlying graph (estimator scale n/θ)
-  * @param promoters sorted promoter pool Vp
+  * @param promoters promoter pool Vp, strictly ascending (sorted, distinct):
+  *                  `candidateOf` binary-searches it
   */
 final class CoverageIndex(
     val theta: Int,
@@ -24,17 +29,19 @@ final class CoverageIndex(
     val promoters: Array[Long],
     cov: Array[Array[Int]]) {
 
+  require(theta.toLong * ell <= Int.MaxValue,
+    s"theta × ell = ${theta.toLong * ell} cells exceed Int.MaxValue")
   require(cov.length == promoters.length * ell,
     s"coverage arity mismatch: ${cov.length} lists for ${promoters.length} promoters × $ell pieces")
-
-  private val promoterIdx: Map[Long, Int] = promoters.zipWithIndex.toMap
+  require((1 until promoters.length).forall(i => promoters(i - 1) < promoters(i)),
+    "the promoter pool must be sorted and distinct")
 
   def candidateCount: Int = promoters.length * ell
 
   def candidateOf(promoter: Long, piece: Int): Int = {
     require(piece >= 0 && piece < ell, s"piece $piece out of [0, $ell)")
-    val p = promoterIdx.getOrElse(promoter,
-      throw new IllegalArgumentException(s"vertex $promoter is not in the promoter pool"))
+    val p = java.util.Arrays.binarySearch(promoters, promoter)
+    require(p >= 0, s"vertex $promoter is not in the promoter pool")
     p * ell + piece
   }
 
@@ -104,6 +111,20 @@ object CoverageIndex {
 
   /** Build the index from sampler output `(sample, piece, v)`, keeping only
     * promoter memberships.
+    *
+    * One pass over the rows: each task binary-searches `v` in the sorted pool
+    * and sends back one `Int` array of `(sample, piece, promoter position)`
+    * triples; non-promoter rows never leave the executors. The driver checks
+    * the ranges, lays the triples out per candidate with a counting sort and
+    * sorts and dedupes each list in place.
+    *
+    * Column contract: `sample` and `piece` are `int`, `v` is `int` or `long`
+    * (an `int` is widened). Any other type raises an
+    * `IllegalArgumentException` naming the column; `sample` and `piece` are
+    * never cast down, which would silently wrap out-of-range ids into range.
+    * A null value fails the job. A `sample` outside `[0, theta)` or a
+    * `piece` outside `[0, ell)` on a promoter row is rejected too.
+    * `promoters` may be unsorted and hold duplicates.
     */
   def build(
       mrr: DataFrame,
@@ -111,26 +132,55 @@ object CoverageIndex {
       ell: Int,
       nVertices: Long,
       promoters: Array[Long]): CoverageIndex = {
-    val sortedPromoters = promoters.distinct.sorted
-    val pIdx = sortedPromoters.zipWithIndex.toMap
-    val lists = Array.fill(sortedPromoters.length * ell)(new mutable.ArrayBuilder.ofInt)
-
-    val spark = mrr.sparkSession
-    import spark.implicits._
-    val pool = spark.sparkContext.broadcast(sortedPromoters.toSet)
-    val rows = mrr
-      .select("sample", "piece", "v")
-      .filter(r => pool.value.contains(r.getLong(2)))
-      .as[(Int, Int, Long)]
+    val pool = promoters.sorted.distinct
+    val cols = mrr.select("sample", "piece", "v")
+    cols.schema.fields.zipWithIndex.foreach { case (f, i) =>
+      val ok = f.dataType == IntegerType || (i == 2 && f.dataType == LongType)
+      require(ok, s"column ${f.name} must be ${if (i == 2) "int or long" else "int"}, " +
+        s"got ${f.dataType.simpleString}")
+    }
+    val triples = cols.select(col("sample"), col("piece"), col("v").cast(LongType))
+      .queryExecution.toRdd
+      .mapPartitions { rows =>
+        val out = new mutable.ArrayBuilder.ofInt
+        rows.foreach { r =>
+          if (r.anyNull) throw new IllegalArgumentException("null in an MRR row (sample, piece, v)")
+          val p = java.util.Arrays.binarySearch(pool, r.getLong(2))
+          if (p >= 0) { out += r.getInt(0); out += r.getInt(1); out += p }
+        }
+        Iterator.single(out.result())
+      }
       .collect()
-    pool.destroy()
 
-    for ((sample, piece, v) <- rows) {
+    // Counting sort: off(c) until off(c + 1) is candidate c's slice of flat.
+    val nCand = pool.length * ell
+    val off = new Array[Int](nCand + 1)
+    for (t <- triples; i <- t.indices by 3) {
+      val sample = t(i)
+      val piece = t(i + 1)
       require(sample >= 0 && sample < theta, s"sample $sample out of [0, $theta)")
       require(piece >= 0 && piece < ell, s"piece $piece out of [0, $ell)")
-      lists(pIdx(v) * ell + piece) += sample
+      off(t(i + 2) * ell + piece + 1) += 1
     }
-    val cov = lists.map(b => b.result().distinct.sorted)
-    new CoverageIndex(theta, ell, nVertices, sortedPromoters, cov)
+    for (c <- 0 until nCand) off(c + 1) += off(c)
+    val flat = new Array[Int](off(nCand))
+    val next = java.util.Arrays.copyOf(off, nCand)
+    for (t <- triples; i <- t.indices by 3) {
+      val c = t(i + 2) * ell + t(i + 1)
+      flat(next(c)) = t(i)
+      next(c) += 1
+    }
+    val cov = Array.tabulate(nCand) { c =>
+      val from = off(c)
+      val to = off(c + 1)
+      if (from == to) Array.emptyIntArray
+      else {
+        java.util.Arrays.sort(flat, from, to)
+        var end = from + 1
+        for (i <- from + 1 until to if flat(i) != flat(end - 1)) { flat(end) = flat(i); end += 1 }
+        java.util.Arrays.copyOfRange(flat, from, end)
+      }
+    }
+    new CoverageIndex(theta, ell, nVertices, pool, cov)
   }
 }

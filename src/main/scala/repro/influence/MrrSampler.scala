@@ -1,7 +1,8 @@
 package repro.influence
 
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
 import repro.util.HashRng
 
 /** Multi-Reverse-Reachable (MRR) set sampling (§V-A).
@@ -10,7 +11,9 @@ import repro.util.HashRng
   * viral piece `t_j` a reverse-reachable set is grown on the piece's
   * homogeneous influence graph (edge kept with probability `p(t_j, e)`).
   * Output rows are `(sample: Int, piece: Int, v: Long)` — the union of all RR
-  * memberships, root included.
+  * memberships, root included — as a lazy DataFrame over an RDD of rows, one
+  * partition per default-parallelism slice of the samples, with non-nullable
+  * columns `sample: int, piece: int, v: long`.
   *
   * Edge liveness is a pure hash of `(seed, sample, piece, src, dst)`, so one
   * (sample, piece) pair sees one fixed live-edge world — the exact live-edge
@@ -36,6 +39,11 @@ object MrrSampler {
 
   private val TagRoot = 201L
   private val TagCoin = 202L
+
+  private val RowSchema = StructType(Seq(
+    StructField("sample", IntegerType, nullable = false),
+    StructField("piece", IntegerType, nullable = false),
+    StructField("v", LongType, nullable = false)))
 
   final case class MrrConfig(theta: Int, seed: Long = 1L) {
     require(theta > 0, s"theta must be positive, got $theta")
@@ -130,7 +138,6 @@ object MrrSampler {
       n: Long,
       pieces: Seq[Piece],
       cfg: MrrConfig): DataFrame = {
-    import spark.implicits._
     require(n > 0 && n <= Int.MaxValue - 1, s"n must lie in [1, ${Int.MaxValue - 1}], got $n")
     val bc = csrFor(spark, edges, n)
     val numTopics = bc.value.numTopics
@@ -142,7 +149,8 @@ object MrrSampler {
     val seed = cfg.seed
     val ell = weights.length
 
-    spark.range(cfg.theta)
+    val sc = spark.sparkContext
+    val rows = sc.range(0, cfg.theta, numSlices = sc.defaultParallelism)
       .mapPartitions { it =>
         val g = bc.value
         // seen(v) == epoch marks v reached in the current (sample, piece);
@@ -179,10 +187,10 @@ object MrrSampler {
                 e += 1
               }
             }
-            Iterator.range(0, size).map(i => (sample, piece, reached(i).toLong))
+            Iterator.range(0, size).map(i => Row(sample, piece, reached(i).toLong))
           }
         }
       }
-      .toDF("sample", "piece", "v")
+    spark.createDataFrame(rows, RowSchema)
   }
 }

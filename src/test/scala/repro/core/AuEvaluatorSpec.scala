@@ -130,4 +130,41 @@ class AuEvaluatorSpec extends SparkSpec {
     intercept[IllegalArgumentException](build((3, 0, 5L)))
     intercept[IllegalArgumentException](build((0, 2, 5L)))
   }
+
+  private def sameIndex(a: CoverageIndex, b: CoverageIndex): Boolean =
+    a.theta == b.theta && a.ell == b.ell && a.nVertices == b.nVertices &&
+      a.promoters.sameElements(b.promoters) &&
+      (0 until a.candidateCount).forall(c => a.coverage(c).sameElements(b.coverage(c)))
+
+  test("build widens an int v column and rejects a long sample column") {
+    import spark.implicits._
+    // A negative id tells a widened int from the raw bits of its row slot.
+    val rows = Seq((0, 0, 5), (2, 1, 7), (1, 0, 9), (1, 1, 5), (0, 1, -3))
+    def build(df: org.apache.spark.sql.DataFrame): CoverageIndex =
+      CoverageIndex.build(df, 3, 2, 10, Array(7L, 5L, -3L))
+    val byInt = build(rows.toDF("sample", "piece", "v"))
+    val byLong = build(rows.map { case (s, j, v) => (s, j, v.toLong) }.toDF("sample", "piece", "v"))
+    assert(sameIndex(byInt, byLong))
+    assert(byInt.coverage(byInt.candidateOf(5L, 1)).toSeq == Seq(1))
+    assert(byInt.coverage(byInt.candidateOf(-3L, 1)).toSeq == Seq(0))
+    val longSample = intercept[IllegalArgumentException](
+      build(rows.map { case (s, j, v) => (s.toLong, j, v.toLong) }.toDF("sample", "piece", "v")))
+    assert(longSample.getMessage.contains("sample") && longSample.getMessage.contains("bigint"))
+    val longPiece = intercept[IllegalArgumentException](
+      build(rows.map { case (s, j, v) => (s, j.toLong, v.toLong) }.toDF("sample", "piece", "v")))
+    assert(longPiece.getMessage.contains("piece"))
+    val doubleV = intercept[IllegalArgumentException](
+      build(rows.map { case (s, j, v) => (s, j, v.toDouble) }.toDF("sample", "piece", "v")))
+    assert(doubleV.getMessage.contains("column v"))
+  }
+
+  test("build is independent of partitioning, duplicates included") {
+    val doubled = mrr.union(mrr)
+    def build(df: org.apache.spark.sql.DataFrame): CoverageIndex =
+      CoverageIndex.build(df, theta, pieces.length, Datasets.mini.nVertices, promoters)
+    val one = build(doubled.repartition(1))
+    val seven = build(doubled.repartition(7))
+    assert(sameIndex(one, seven))
+    assert(sameIndex(one, idx), "duplicate rows must not change any coverage list")
+  }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.testkit.SyntheticIndex
+import repro.util.HashRng
 
 class BranchAndBoundSpec extends AnyFunSuite {
 
@@ -17,6 +18,18 @@ class BranchAndBoundSpec extends AnyFunSuite {
       val (ca, cb) = (idx.coverage(a).length, idx.coverage(b).length)
       assert(ca > cb || (ca == cb && a < b))
     }
+  }
+
+  test("defaultOrder equals the tuple-sort reference on a campaign index") {
+    // Most candidates empty, the rest short lists with many ties in length.
+    val (theta, ell, nPromoters) = (500, 3, 2000)
+    val cov = Array.tabulate(nPromoters * ell) { c =>
+      val len = if (HashRng.uniform(31L, c.toLong) < 0.9) 0 else 1 + (c % 4)
+      Array.range(0, len).map(i => (c + 97 * i) % theta).distinct.sorted
+    }
+    val idx = new CoverageIndex(theta, ell, 10000, Array.tabulate(nPromoters)(_.toLong), cov)
+    val reference = (0 until idx.candidateCount).sortBy(c => (-idx.coverage(c).length, c))
+    assert(BranchAndBound.defaultOrder(idx).toSeq == reference)
   }
 
   test("BAB meets the (1 - 1/e) guarantee against brute force on random instances") {

@@ -107,4 +107,15 @@ class CoverageIndexSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](idx.takePieces(0))
     intercept[IllegalArgumentException](idx.takePieces(3))
   }
+
+  test("theta × ell beyond Int.MaxValue cells is rejected") {
+    intercept[IllegalArgumentException](new CoverageIndex(1 << 30, 2, 8, Array.empty, Array.empty))
+    assert(new CoverageIndex(Int.MaxValue, 1, 8, Array.empty, Array.empty).candidateCount == 0)
+  }
+
+  test("an unsorted or duplicated promoter pool is rejected") {
+    val lists = Array.fill(2)(Array.emptyIntArray)
+    intercept[IllegalArgumentException](new CoverageIndex(4, 1, 8, Array(20L, 10L), lists))
+    intercept[IllegalArgumentException](new CoverageIndex(4, 1, 8, Array(10L, 10L), lists))
+  }
 }

@@ -123,4 +123,23 @@ class ProgressiveBounderSpec extends AnyFunSuite {
     assert(a.complete.toSeq == b.complete.toSeq)
     assert(a.tau == b.tau && a.sigma == b.sigma)
   }
+
+  test("empty-coverage promoters leave computeBound unchanged") {
+    val idx = SyntheticIndex.random(theta = 60, ell = 3, nPromoters = 8,
+      nVertices = 120, density = 0.1, seed = 25L)
+    val nExtra = 1000
+    val extra = (0 until nExtra).map(i => 1000L + i)
+    val padded = new CoverageIndex(idx.theta, idx.ell, idx.nVertices, idx.promoters ++ extra,
+      Array.tabulate(idx.candidateCount + nExtra * idx.ell) { c =>
+        if (c < idx.candidateCount) idx.coverage(c) else Array.emptyIntArray
+      })
+    val (_, pro) = bounders(idx, eps = 0.3)
+    val (_, proPadded) = bounders(padded, eps = 0.3)
+    for ((base, freeFrom, k) <- Seq((Array.empty[Int], 0, 4), (Array(pro.order(0)), 1, 5), (Array.empty[Int], 3, 2))) {
+      val a = pro.computeBound(base, freeFrom, k)
+      val b = proPadded.computeBound(base, freeFrom, k)
+      assert(a.sigma == b.sigma && a.tau == b.tau, s"freeFrom=$freeFrom k=$k")
+      assert(idx.toPlan(a.complete) == padded.toPlan(b.complete), s"freeFrom=$freeFrom k=$k")
+    }
+  }
 }
