@@ -75,12 +75,16 @@ final class CoverageIndex(
     counts
   }
 
-  /** AU estimate of a candidate set (Eqn 6, honouring Eqn 1's zero case). */
+  /** AU estimate of a candidate set (Eqn 6, honouring Eqn 1's zero case). A
+    * count takes one of ℓ + 1 values, so the adoption probabilities are
+    * tabulated once per call.
+    */
   def au(candidates: Iterable[Int], params: LogisticParams): Double = {
     val counts = coverageCounts(candidates)
+    val adopt = Array.tabulate(ell + 1)(params.adoptionProb)
     var s = 0.0
     var i = 0
-    while (i < theta) { s += params.adoptionProb(counts(i)); i += 1 }
+    while (i < theta) { s += adopt(counts(i)); i += 1 }
     scale * s
   }
 

@@ -119,4 +119,10 @@ final class EnvelopeTable(val params: LogisticParams, val ell: Int) {
   /** Marginal envelope gain of raising coverage from `c` to `c+1` at anchor `a`. */
   def gain(a: Int, c: Int): Double =
     if (c >= ell) 0.0 else value(a, c + 1) - value(a, c)
+
+  /** `gain` as one flat table: `gains(a·(ℓ+1) + c) == gain(a, c)`, the same
+    * doubles, so the bound's scan reads a gain with one index. Read only.
+    */
+  val gains: Array[Double] =
+    Array.tabulate((ell + 1) * (ell + 1))(i => gain(i / (ell + 1), i % (ell + 1)))
 }

@@ -54,6 +54,19 @@ class CoverageIndexSpec extends AnyFunSuite {
     assert(idx.au(Seq.empty, params) == 0.0)
   }
 
+  test("au equals the per-sample adoptionProb sum bit for bit") {
+    val r = SyntheticIndex.random(theta = 500, ell = 4, nPromoters = 8, nVertices = 2000,
+      density = 0.3, seed = 17L)
+    for (p <- Seq(params, LogisticParams.fromRatio(0.3)); n <- Seq(0, 3, 12, r.candidateCount)) {
+      val cands = (0 until r.candidateCount by 3).take(n)
+      val counts = r.coverageCounts(cands)
+      var s = 0.0
+      for (i <- 0 until r.theta) s += p.adoptionProb(counts(i))
+      assert(java.lang.Double.doubleToLongBits(r.au(cands, p)) ==
+        java.lang.Double.doubleToLongBits(r.scale * s), s"$p n=$n")
+    }
+  }
+
   test("au is monotone under candidate inclusion") {
     val small = idx.au(Seq(idx.candidateOf(10L, 0)), params)
     val big = idx.au(Seq(idx.candidateOf(10L, 0), idx.candidateOf(20L, 1)), params)
