@@ -27,13 +27,13 @@ trait Bounder {
 }
 
 /** The ComputeBound kernel one bounder owns and reuses for every call: the
-  * candidate lists laid out in scan order, and the per-call scratch state.
-  * Not thread-safe; a bounder serves one call at a time.
+  * candidates in scan order, and the per-call scratch state. Not
+  * thread-safe; a bounder serves one call at a time.
   *
   * Layout, built once from `order`: position `p` holds candidate
-  * `cand(p) = order(p)`, its piece `piece(p)` and a copy of its coverage list
-  * in `samples(off(p) until off(p + 1))`; `posOf` maps a candidate back to
-  * its position. `order` must list distinct candidates of the index.
+  * `cand(p) = order(p)` and its piece `piece(p)`; `posOf` maps a candidate
+  * back to its position. The scan reads `idx.coverage(cand(p))` in place and
+  * never writes it. `order` must list distinct candidates of the index.
   *
   * Scratch state, all zero between calls:
   *   - `key(s) = anchor·(ℓ+1) + count` for sample `s`, where `anchor` is the
@@ -67,14 +67,13 @@ private[core] final class BoundState(
   val cand: Array[Int] = order
   val posOf: Array[Int] = new Array[Int](nCand)
   private val piece = new Array[Int](size)
-  private val off = new Array[Int](size + 1)
-  private val samples: Array[Int] = layout()
+  layout()
 
-  /** Fills `posOf`, `piece` and `off` and returns the copied lists. A method,
-    * not constructor code: on JDK 17 the same loops in the constructor body
-    * stayed interpreted, about 20× slower on a 50 000-candidate index.
+  /** Fills `posOf` and `piece`. A method, not constructor code: on JDK 17 the
+    * same loop in the constructor body stayed interpreted, about 20× slower
+    * on a 50 000-candidate index.
     */
-  private def layout(): Array[Int] = {
+  private def layout(): Unit = {
     java.util.Arrays.fill(posOf, -1)
     var p = 0
     while (p < size) {
@@ -83,17 +82,8 @@ private[core] final class BoundState(
         throw new IllegalArgumentException(s"order entry $c at position $p is out of [0, $nCand) or repeated")
       posOf(c) = p
       piece(p) = idx.pieceOf(c)
-      off(p + 1) = off(p) + idx.coverage(c).length
       p += 1
     }
-    val flat = new Array[Int](off(size))
-    p = 0
-    while (p < size) {
-      val list = idx.coverage(cand(p))
-      System.arraycopy(list, 0, flat, off(p), list.length)
-      p += 1
-    }
-    flat
   }
 
   private val key = new Array[Int](idx.theta)
@@ -144,11 +134,11 @@ private[core] final class BoundState(
   /** Marginal τ gain of adding the candidate at position `p` right now. */
   def gainAt(p: Int): Double = {
     val pc = piece(p)
-    val end = off(p + 1)
+    val list = idx.coverage(cand(p))
     var g = 0.0
-    var i = off(p)
-    while (i < end) {
-      val s = samples(i)
+    var i = 0
+    while (i < list.length) {
+      val s = list(i)
       val bit = s * ell + pc
       if ((cells(bit >>> 6) & (1L << bit)) == 0) g += gains(key(s))
       i += 1
@@ -159,11 +149,11 @@ private[core] final class BoundState(
   /** Commits the candidate at position `p` into the selection. */
   def select(p: Int): Unit = {
     val pc = piece(p)
-    val end = off(p + 1)
+    val list = idx.coverage(cand(p))
     var g = 0.0
-    var i = off(p)
-    while (i < end) {
-      val s = samples(i)
+    var i = 0
+    while (i < list.length) {
+      val s = list(i)
       val bit = s * ell + pc
       if ((cells(bit >>> 6) & (1L << bit)) == 0) {
         cells(bit >>> 6) |= 1L << bit

@@ -16,8 +16,8 @@ import scala.collection.mutable
   * cells. Cells are indexed `sample * ell + piece` in an `Int`, so
   * `theta * ell` must not exceed `Int.MaxValue`.
   *
-  * @param theta     number of MRR samples drawn
-  * @param ell       number of viral pieces
+  * @param theta     number of MRR samples drawn, at least 1
+  * @param ell       number of viral pieces, at least 1
   * @param nVertices |V| of the underlying graph (estimator scale n/θ)
   * @param promoters promoter pool Vp, strictly ascending (sorted, distinct):
   *                  `candidateOf` binary-searches it
@@ -29,6 +29,8 @@ final class CoverageIndex(
     val promoters: Array[Long],
     cov: Array[Array[Int]]) {
 
+  require(theta >= 1, s"theta must be at least 1, got $theta")
+  require(ell >= 1, s"ell must be at least 1, got $ell")
   require(theta.toLong * ell <= Int.MaxValue,
     s"theta × ell = ${theta.toLong * ell} cells exceed Int.MaxValue")
   require(cov.length == promoters.length * ell,

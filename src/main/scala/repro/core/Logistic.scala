@@ -24,9 +24,9 @@ final case class LogisticParams(alpha: Double, beta: Double) {
 object LogisticParams {
 
   /** Paper parameterization: β = 1 and a `β/α` ratio (Table IV). */
-  def fromRatio(betaOverAlpha: Double, beta: Double = 1.0): LogisticParams = {
+  def fromRatio(betaOverAlpha: Double): LogisticParams = {
     require(betaOverAlpha > 0, s"beta/alpha must be positive, got $betaOverAlpha")
-    LogisticParams(alpha = beta / betaOverAlpha, beta = beta)
+    LogisticParams(alpha = 1.0 / betaOverAlpha, beta = 1.0)
   }
 }
 

@@ -20,6 +20,8 @@ import repro.core.Logistic.sigmoid
   */
 object TangentBound {
 
+  private val RefineIters = 200
+
   /** Tangent point `t` for slope `w`: solves f'(t) = w on the concave side.
     * From w = f(t)(1−f(t)): f(t) = (1+√(1−4w))/2, t = ln((1+s)/(1−s)), s=√(1−4w).
     */
@@ -38,13 +40,13 @@ object TangentBound {
     * the would-be tangent point t(w) is compared against f(t); the line lying
     * above means the slope is too large.
     */
-  def refineSlope(x0: Double, iters: Int = 200): Double = {
+  def refineSlope(x0: Double): Double = {
     require(x0 < 0, s"refineSlope needs a point on the convex side (x0 < 0), got $x0")
     val fx0 = sigmoid(x0)
     var lo = 0.0
     var hi = 0.25
     var it = 0
-    while (it < iters && hi - lo > 1e-15) {
+    while (it < RefineIters && hi - lo > 1e-15) {
       val w = (lo + hi) / 2
       val t = tangentPoint(w)
       val lineAtT = w * (t - x0) + fx0

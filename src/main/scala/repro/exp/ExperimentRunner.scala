@@ -19,6 +19,12 @@ object ExperimentRunner {
 
   private val TagPieceTopic = 401L
 
+  /** Share of the vertices in the promoter pool, and the seed of the pieces
+    * and the MRR samples, for every prepared dataset.
+    */
+  private val PromoterFraction = 0.1
+  private val PrepareSeed = 17L
+
   /** One prepared dataset: everything the methods consume.
     *
     * @param idx        campaign MRR coverage index (ℓ pieces)
@@ -48,6 +54,7 @@ object ExperimentRunner {
     * distinct topic order (ℓ ≤ |Z| in all experiments).
     */
   def pieceVectors(ell: Int, numTopics: Int, seed: Long): Seq[Piece] = {
+    require(ell >= 1, s"need ℓ ≥ 1, got ℓ=$ell")
     require(ell <= numTopics, s"need ℓ ≤ |Z|: ℓ=$ell, |Z|=$numTopics")
     val shuffled = (0 until numTopics)
       .sortBy(z => HashRng.uniform(seed, TagPieceTopic, z.toLong))
@@ -59,23 +66,21 @@ object ExperimentRunner {
       spark: SparkSession,
       spec: GraphSpec,
       ell: Int,
-      theta: Int,
-      promoterFraction: Double = 0.1,
-      seed: Long = 17L): Prepared = {
+      theta: Int): Prepared = {
     val edges = SocialGraphGen.generate(spark, spec).persist()
     val realizedEdges = edges.count()
-    val pieces = pieceVectors(ell, spec.numTopics, seed)
-    val promoters = SocialGraphGen.promoters(spec, promoterFraction)
+    val pieces = pieceVectors(ell, spec.numTopics, PrepareSeed)
+    val promoters = SocialGraphGen.promoters(spec, PromoterFraction)
 
     val t0 = System.nanoTime()
     val mrr = MrrSampler.sampleBroadcast(
-      spark, edges, spec.nVertices, pieces, MrrSampler.MrrConfig(theta, seed = seed))
+      spark, edges, spec.nVertices, pieces, MrrSampler.MrrConfig(theta, seed = PrepareSeed))
     val idx = CoverageIndex.build(mrr, theta, ell, spec.nVertices, promoters)
     val sampleTimeMs = (System.nanoTime() - t0) / 1000000L
 
     val mixture = Seq(Piece.uniformMixture(spec.numTopics))
     val mixMrr = MrrSampler.sampleBroadcast(
-      spark, edges, spec.nVertices, mixture, MrrSampler.MrrConfig(theta, seed = seed + 1))
+      spark, edges, spec.nVertices, mixture, MrrSampler.MrrConfig(theta, seed = PrepareSeed + 1))
     val mixtureIdx = CoverageIndex.build(mixMrr, theta, 1, spec.nVertices, promoters)
 
     Prepared(spec, edges, pieces, promoters, idx, mixtureIdx, realizedEdges, sampleTimeMs)

@@ -15,8 +15,6 @@ import repro.util.HashRng
   * @param topicsPerEdge  number of non-zero p(e|z) entries drawn per edge
   *                       (tweet-like graphs have ~1.5, lastfm-like more)
   * @param wcScale        weighted-cascade scale: p(e|z) ≈ wcScale·jitter/indeg(dst)
-  * @param srcSkew        power-law skew of the source endpoint (hub strength)
-  * @param dstSkew        power-law skew of the destination endpoint
   * @param seed           master seed — the graph is a pure function of the spec
   */
 final case class GraphSpec(
@@ -26,8 +24,6 @@ final case class GraphSpec(
     numTopics: Int,
     topicsPerEdge: Int,
     wcScale: Double = 1.0,
-    srcSkew: Double = 2.2,
-    dstSkew: Double = 1.4,
     seed: Long = 42L,
 ) {
   require(nVertices > 1, "need at least 2 vertices")
@@ -57,6 +53,11 @@ object SocialGraphGen {
   private val TagJitter = 105L
   private val TagPromoter = 106L
 
+  // Power-law skew of the source endpoint (hub strength) and of the
+  // destination endpoint; every dataset profile uses the same two.
+  private val SrcSkew = 2.2
+  private val DstSkew = 1.4
+
   /** Generate the `(src, dst, probs)` edge DataFrame for `spec`. */
   def generate(spark: SparkSession, spec: GraphSpec): DataFrame = {
     val n = spec.nVertices
@@ -70,8 +71,8 @@ object SocialGraphGen {
 
     val raw = spark.range(nDraws)
       .select(
-        endpoint(col("id"), lit(TagSrc), lit(spec.srcSkew)).as("src"),
-        endpoint(col("id"), lit(TagDst), lit(spec.dstSkew)).as("dst"),
+        endpoint(col("id"), lit(TagSrc), lit(SrcSkew)).as("src"),
+        endpoint(col("id"), lit(TagDst), lit(DstSkew)).as("dst"),
       )
       .where(col("src") =!= col("dst"))
       .distinct()

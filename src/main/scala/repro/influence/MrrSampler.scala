@@ -130,7 +130,8 @@ object MrrSampler {
     * BFS per (sample, piece) over the cached reverse topic-CSR of `edges`.
     * Edges with `p ≤ 0` are never live. Edge endpoints outside `[0, n)` and
     * pieces whose topic arity differs from the edges' raise an
-    * `IllegalArgumentException` on the driver, before sampling starts.
+    * `IllegalArgumentException` on the driver, before sampling starts, and
+    * so does an empty piece list.
     */
   def sampleBroadcast(
       spark: SparkSession,
@@ -139,6 +140,7 @@ object MrrSampler {
       pieces: Seq[Piece],
       cfg: MrrConfig): DataFrame = {
     require(n > 0 && n <= Int.MaxValue - 1, s"n must lie in [1, ${Int.MaxValue - 1}], got $n")
+    require(pieces.nonEmpty, "need at least one piece, got an empty piece list")
     val bc = csrFor(spark, edges, n)
     val numTopics = bc.value.numTopics
     pieces.foreach { t =>

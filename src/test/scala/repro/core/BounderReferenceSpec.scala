@@ -98,14 +98,20 @@ class BounderReferenceSpec extends AnyFunSuite {
   }
 
   test("reused bounders equal the reference bit for bit, call after call") {
-    for ((name, idx) <- shapes; (params, pi) <- paramsGrid.zipWithIndex;
-         (kind, served, ref) <- bounderPairs(idx, params)) {
-      for (((base, freeFrom, k), i) <- calls(served.order, 31L * pi + idx.ell).zipWithIndex) {
+    for ((name, idx) <- shapes; (params, pi) <- paramsGrid.zipWithIndex) {
+      // The bounders scan the index's own lists, so none may write them.
+      val before = Array.tabulate(idx.candidateCount)(c => idx.coverage(c).clone())
+      val pairs = bounderPairs(idx, params)
+      // The greedy and the progressive bounders take turns on one index.
+      for (((base, freeFrom, k), i) <- calls(pairs.head._2.order, 31L * pi + idx.ell).zipWithIndex;
+           (kind, served, ref) <- pairs) {
         val tag = s"$name $params $kind call $i (base=${base.mkString(",")} freeFrom=$freeFrom k=$k)"
         val evals0 = (served.tauEvals, ref.tauEvals)
         assertSame(tag, served.computeBound(base, freeFrom, k), ref.computeBound(base, freeFrom, k))
         assert(served.tauEvals - evals0._1 == ref.tauEvals - evals0._2, s"$tag: tauEvals")
       }
+      for (c <- 0 until idx.candidateCount)
+        assert(idx.coverage(c).sameElements(before(c)), s"$name $params: coverage($c) changed")
     }
   }
 

@@ -124,6 +124,10 @@ class CoverageIndexSpec extends AnyFunSuite {
   test("theta × ell beyond Int.MaxValue cells is rejected") {
     intercept[IllegalArgumentException](new CoverageIndex(1 << 30, 2, 8, Array.empty, Array.empty))
     assert(new CoverageIndex(Int.MaxValue, 1, 8, Array.empty, Array.empty).candidateCount == 0)
+    val noSamples = intercept[IllegalArgumentException](new CoverageIndex(0, 1, 8, Array.empty, Array.empty))
+    assert(noSamples.getMessage.contains("theta must be at least 1, got 0"), noSamples.getMessage)
+    val noPieces = intercept[IllegalArgumentException](new CoverageIndex(4, 0, 8, Array(10L), Array.empty))
+    assert(noPieces.getMessage.contains("ell must be at least 1, got 0"), noPieces.getMessage)
   }
 
   test("an unsorted or duplicated promoter pool is rejected") {

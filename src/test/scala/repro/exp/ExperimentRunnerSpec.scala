@@ -22,6 +22,8 @@ class ExperimentRunnerSpec extends SparkSpec {
     assert(ExperimentRunner.pieceVectors(3, 10, 5L).map(_.weights.toSeq) ==
       ExperimentRunner.pieceVectors(3, 10, 5L).map(_.weights.toSeq))
     intercept[IllegalArgumentException](ExperimentRunner.pieceVectors(11, 10, 5L))
+    val noPieces = intercept[IllegalArgumentException](ExperimentRunner.pieceVectors(0, 10, 5L))
+    assert(noPieces.getMessage.contains("ℓ=0"), noPieces.getMessage)
   }
 
   test("piece sweeps share a prefix: same seed gives nested campaigns") {

@@ -96,6 +96,9 @@ class MrrSamplerSpec extends SparkSpec {
 
   test("config validation") {
     intercept[IllegalArgumentException](MrrConfig(theta = 0))
+    val noPieces = intercept[IllegalArgumentException](
+      MrrSampler.sampleBroadcast(spark, exampleDf, 5, Seq.empty, MrrConfig(theta = 10)))
+    assert(noPieces.getMessage.contains("empty piece list"), noPieces.getMessage)
   }
 
   test("edge endpoints outside [0, n) are rejected on the driver") {
