@@ -1,8 +1,8 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.ExperimentRunner
-import repro.exp.ExperimentRunner.Prepared
+import repro.exp.Experiments
+import repro.exp.Experiments.Prepared
 import repro.graphgen.{Datasets, GraphSpec}
 import scala.collection.mutable
 
@@ -12,7 +12,7 @@ import scala.collection.mutable
   * our graph sizes), and every bench reuses one ℓ=5 sampling pass per dataset
   * via piece-prefix restriction. BAB/BAB-P terminate at the paper's 1 % gap
   * with a 60-call bound cap as a safety valve (both fixed in
-  * `ExperimentRunner.runAll`).
+  * `Experiments.runAll`).
   */
 object BenchConfig {
   val MaxEll = 5
@@ -29,7 +29,7 @@ object PrepCache {
   def get(spark: org.apache.spark.sql.SparkSession, spec: GraphSpec): Prepared =
     synchronized {
       cache.getOrElseUpdate(spec.name,
-        ExperimentRunner.prepare(spark, spec, ell = BenchConfig.MaxEll,
+        Experiments.prepare(spark, spec, ell = BenchConfig.MaxEll,
           theta = BenchConfig.thetaOf(spec)))
     }
 }
@@ -42,7 +42,7 @@ trait BenchBase extends SparkSpec {
   /** Print a result table with a grep-friendly marker for EXPERIMENTS.md. */
   def report(title: String, header: Seq[String], rows: Seq[Seq[String]]): Unit = {
     println(s"\n==== BENCH: $title ====")
-    print(ExperimentRunner.markdownTable(header, rows))
+    print(Experiments.markdownTable(header, rows))
     println(s"==== END: $title ====\n")
   }
 }

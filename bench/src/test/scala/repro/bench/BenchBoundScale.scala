@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.core._
-import repro.exp.ExperimentRunner
+import repro.exp.Experiments
 import repro.graphgen.Datasets
 
 /** Cost of one ComputeBound call as θ grows toward the paper's 10⁶: lastfm,
@@ -42,19 +42,14 @@ class BenchBoundScale extends BenchBase {
 
   /** One search on a fresh bounder: (ms per bound call, result). */
   private def search(method: String, idx: CoverageIndex): (Double, BabResult) = {
-    val env = new EnvelopeTable(params, idx.ell)
-    val order = BranchAndBound.defaultOrder(idx)
-    val timed = new TimingBounder(method match {
-      case "BAB"   => new GreedyBounder(idx, env, order, params)
-      case "BAB-P" => new ProgressiveBounder(idx, env, order, params, Eps)
-    })
+    val timed = new TimingBounder(Experiments.bounder(method, idx, params, Eps))
     val r = BranchAndBound.run(idx, params, timed, cfg)
     (timed.nanos / 1e6 / timed.calls, r)
   }
 
   test("bound-call cost of BAB and BAB-P against theta") {
     val rows = Thetas.flatMap { theta =>
-      val idx = ExperimentRunner.prepare(spark, spec, ell = Ell, theta = theta).idx
+      val idx = Experiments.prepare(spark, spec, ell = Ell, theta = theta).idx
       val results = Seq("BAB", "BAB-P").map { method =>
         search(method, idx)
         val runs = Seq.fill(Runs)(search(method, idx))

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.exp.ExperimentRunner.fmt
+import repro.exp.Experiments.fmt
 
 /** Table III: dataset statistics and MRR sample time. */
 class BenchDatasetStats extends BenchBase {
@@ -23,7 +23,7 @@ class BenchDatasetStats extends BenchBase {
     val lastfm = prepared(BenchConfig.datasets.find(_.name == "lastfm").get)
     val dblp = prepared(BenchConfig.datasets.find(_.name == "dblp").get)
     val tweet = prepared(BenchConfig.datasets.find(_.name == "tweet").get)
-    def avgDeg(p: repro.exp.ExperimentRunner.Prepared): Double =
+    def avgDeg(p: repro.exp.Experiments.Prepared): Double =
       p.realizedEdges.toDouble / p.spec.nVertices
     // Paper: lastfm 8.7–11.5, dblp ~12, tweet ~1.2.
     assert(avgDeg(lastfm) > 8 && avgDeg(lastfm) < 13)

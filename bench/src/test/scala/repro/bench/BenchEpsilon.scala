@@ -1,8 +1,8 @@
 package repro.bench
 
 import repro.core.LogisticParams
-import repro.exp.ExperimentRunner
-import repro.exp.ExperimentRunner.fmt
+import repro.exp.Experiments
+import repro.exp.Experiments.fmt
 
 /** Figure 3: BAB-P adoption utility (and time) vs the progressive-threshold
   * parameter ε (k=50, ℓ=3, β/α=0.5). The paper observes a mild descending
@@ -16,9 +16,9 @@ class BenchEpsilon extends BenchBase {
 
   BenchConfig.datasets.foreach { spec =>
     test(s"Figure 3 — vary epsilon on ${spec.name}") {
-      val prep = ExperimentRunner.restrict(prepared(spec), 3)
+      val prep = Experiments.restrict(prepared(spec), 3)
       val results = epsilons.map { eps =>
-        eps -> ExperimentRunner.runAll(prep, k, params, eps = eps, methods = Set("BAB-P")).head
+        eps -> Experiments.runAll(prep, k, params, eps = eps, methods = Set("BAB-P")).head
       }
       val rows = results.map { case (eps, r) =>
         Seq(spec.name, eps.toString, fmt(r.utility), r.timeMs.toString, r.tauEvals.toString)

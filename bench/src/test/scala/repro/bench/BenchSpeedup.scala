@@ -1,8 +1,8 @@
 package repro.bench
 
 import repro.core.LogisticParams
-import repro.exp.ExperimentRunner
-import repro.exp.ExperimentRunner.fmt
+import repro.exp.Experiments
+import repro.exp.Experiments.fmt
 
 /** Headline efficiency claim (§VI-C): the progressive upper-bound estimation
   * (BAB-P) is substantially faster than plain branch-and-bound (BAB) at equal
@@ -18,8 +18,8 @@ class BenchSpeedup extends BenchBase {
       spec <- BenchConfig.datasets
       k <- Seq(50, 100)
     } yield {
-      val prep = ExperimentRunner.restrict(prepared(spec), 3)
-      val rs = ExperimentRunner.runAll(prep, k, params, methods = Set("BAB", "BAB-P"))
+      val prep = Experiments.restrict(prepared(spec), 3)
+      val rs = Experiments.runAll(prep, k, params, methods = Set("BAB", "BAB-P"))
       val bab = rs.find(_.name == "BAB").get
       val pro = rs.find(_.name == "BAB-P").get
       val speedup = bab.timeMs.toDouble / math.max(pro.timeMs, 1L)

@@ -1,8 +1,8 @@
 package repro.bench
 
 import repro.core.LogisticParams
-import repro.exp.ExperimentRunner
-import repro.exp.ExperimentRunner.fmt
+import repro.exp.Experiments
+import repro.exp.Experiments.fmt
 
 /** Figure 6: adoption utility vs the adoption-difficulty ratio β/α
   * (k=50, ℓ=3, ε=0.5). The MRR samples are independent of (α, β), so one
@@ -15,9 +15,9 @@ class BenchVaryBetaAlpha extends BenchBase {
 
   BenchConfig.datasets.foreach { spec =>
     test(s"Figure 6 — vary beta/alpha on ${spec.name}") {
-      val prep = ExperimentRunner.restrict(prepared(spec), 3)
+      val prep = Experiments.restrict(prepared(spec), 3)
       val rows = ratios.flatMap { ratio =>
-        val rs = ExperimentRunner.runAll(prep, k, LogisticParams.fromRatio(ratio))
+        val rs = Experiments.runAll(prep, k, LogisticParams.fromRatio(ratio))
         val byName = rs.map(r => r.name -> r).toMap
         assert(byName("BAB").utility >= byName("TIM").utility * 0.999, s"ratio=$ratio")
         assert(byName("BAB").utility >= byName("IM").utility - 1e-9, s"ratio=$ratio")
@@ -30,9 +30,9 @@ class BenchVaryBetaAlpha extends BenchBase {
 
   test("utility rises with beta/alpha and BAB's edge is larger when adoption is harder") {
     BenchConfig.datasets.foreach { spec =>
-      val prep = ExperimentRunner.restrict(prepared(spec), 3)
+      val prep = Experiments.restrict(prepared(spec), 3)
       def at(ratio: Double): Map[String, Double] =
-        ExperimentRunner.runAll(prep, k, LogisticParams.fromRatio(ratio),
+        Experiments.runAll(prep, k, LogisticParams.fromRatio(ratio),
           methods = Set("TIM", "BAB"))
           .map(r => r.name -> r.utility).toMap
       val hard = at(0.3)

@@ -1,8 +1,8 @@
 package repro.bench
 
 import repro.core.LogisticParams
-import repro.exp.ExperimentRunner
-import repro.exp.ExperimentRunner.fmt
+import repro.exp.Experiments
+import repro.exp.Experiments.fmt
 
 /** Figure 4: adoption utility and selection time vs budget k for the four
   * compared methods (ℓ=3, β/α=0.5, ε=0.5).
@@ -14,9 +14,9 @@ class BenchVaryK extends BenchBase {
 
   BenchConfig.datasets.foreach { spec =>
     test(s"Figure 4 — vary k on ${spec.name}") {
-      val prep = ExperimentRunner.restrict(prepared(spec), 3)
+      val prep = Experiments.restrict(prepared(spec), 3)
       val rows = ks.flatMap { k =>
-        val rs = ExperimentRunner.runAll(prep, k, params)
+        val rs = Experiments.runAll(prep, k, params)
         val byName = rs.map(r => r.name -> r).toMap
         // Shape: BAB beats both IM-style baselines; BAB-P stays close to BAB.
         assert(byName("BAB").utility >= byName("IM").utility - 1e-9, s"k=$k")
@@ -32,9 +32,9 @@ class BenchVaryK extends BenchBase {
 
   test("utility is non-decreasing in k for BAB") {
     BenchConfig.datasets.foreach { spec =>
-      val prep = ExperimentRunner.restrict(prepared(spec), 3)
+      val prep = Experiments.restrict(prepared(spec), 3)
       val utils = ks.map { k =>
-        ExperimentRunner.runAll(prep, k, params, methods = Set("BAB"))
+        Experiments.runAll(prep, k, params, methods = Set("BAB"))
           .head.utility
       }
       utils.sliding(2).foreach { case Seq(a, b) =>

@@ -1,8 +1,8 @@
 package repro.bench
 
 import repro.core.LogisticParams
-import repro.exp.ExperimentRunner
-import repro.exp.ExperimentRunner.fmt
+import repro.exp.Experiments
+import repro.exp.Experiments.fmt
 
 /** Figure 5: adoption utility and selection time vs the number of viral
   * pieces ℓ (k=50, β/α=0.5, ε=0.5). One sampling pass at ℓ=5 serves every ℓ
@@ -17,8 +17,8 @@ class BenchVaryL extends BenchBase {
     test(s"Figure 5 — vary l on ${spec.name}") {
       val full = prepared(spec)
       val rows = (1 to BenchConfig.MaxEll).flatMap { ell =>
-        val prep = ExperimentRunner.restrict(full, ell)
-        val rs = ExperimentRunner.runAll(prep, k, params)
+        val prep = Experiments.restrict(full, ell)
+        val rs = Experiments.runAll(prep, k, params)
         val byName = rs.map(r => r.name -> r).toMap
         assert(byName("BAB").utility >= byName("TIM").utility * 0.999, s"l=$ell")
         assert(byName("BAB").utility >= byName("IM").utility - 1e-9, s"l=$ell")
@@ -36,8 +36,8 @@ class BenchVaryL extends BenchBase {
     BenchConfig.datasets.foreach { spec =>
       val full = prepared(spec)
       def gainAt(ell: Int): Double = {
-        val prep = ExperimentRunner.restrict(full, ell)
-        val rs = ExperimentRunner.runAll(prep, k, params, methods = Set("TIM", "BAB"))
+        val prep = Experiments.restrict(full, ell)
+        val rs = Experiments.runAll(prep, k, params, methods = Set("TIM", "BAB"))
         val byName = rs.map(r => r.name -> r.utility).toMap
         byName("BAB") / math.max(byName("TIM"), 1e-9)
       }

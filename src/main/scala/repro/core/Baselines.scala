@@ -18,7 +18,7 @@ import scala.collection.mutable
 object Baselines {
 
   /** One baseline outcome: the chosen single-piece plan and its AU. */
-  final case class BaselineResult(plan: Plan, sigma: Double, piece: Int, elapsedMs: Long)
+  final case class BaselineResult(plan: Plan, sigma: Double, piece: Int)
 
   /** Greedy maximum coverage (CELF) over RR-sample lists: pick ≤ k entries
     * maximizing the number of distinct covered samples. Ties break toward the
@@ -60,7 +60,6 @@ object Baselines {
     * index, then the best single (seed set, piece) assignment by AU.
     */
   def runTIM(idx: CoverageIndex, params: LogisticParams, k: Int): BaselineResult = {
-    val t0 = System.nanoTime()
     var best: Option[BaselineResult] = None
     for (j <- 0 until idx.ell) {
       val lists = idx.promoters.indices.map(p => idx.coverage(p * idx.ell + j))
@@ -68,10 +67,9 @@ object Baselines {
       val plan = Plan.singlePiece(idx.ell, j, seeds.toSet)
       val sigma = idx.auOfPlan(plan, params)
       if (best.forall(_.sigma < sigma))
-        best = Some(BaselineResult(plan, sigma, j, 0L))
+        best = Some(BaselineResult(plan, sigma, j))
     }
-    val r = best.getOrElse(throw new IllegalStateException("campaign has no pieces"))
-    r.copy(elapsedMs = (System.nanoTime() - t0) / 1000000L)
+    best.getOrElse(throw new IllegalStateException("campaign has no pieces"))
   }
 
   /** IM: topic-agnostic seed selection over a separate single-"piece" RR
@@ -89,7 +87,6 @@ object Baselines {
     require(mixtureIdx.ell == 1, s"mixture index must have one piece, got ${mixtureIdx.ell}")
     require(java.util.Arrays.equals(mixtureIdx.promoters, idx.promoters),
       "mixture and campaign indices must share the promoter pool")
-    val t0 = System.nanoTime()
     val lists = mixtureIdx.promoters.indices.map(mixtureIdx.coverage)
     val seeds = greedyMaxCover(lists, mixtureIdx.theta, k).map(mixtureIdx.promoters(_)).toSet
 
@@ -98,9 +95,8 @@ object Baselines {
       val plan = Plan.singlePiece(idx.ell, j, seeds)
       val sigma = idx.auOfPlan(plan, params)
       if (best.forall(_.sigma < sigma))
-        best = Some(BaselineResult(plan, sigma, j, 0L))
+        best = Some(BaselineResult(plan, sigma, j))
     }
-    val r = best.getOrElse(throw new IllegalStateException("campaign has no pieces"))
-    r.copy(elapsedMs = (System.nanoTime() - t0) / 1000000L)
+    best.getOrElse(throw new IllegalStateException("campaign has no pieces"))
   }
 }

@@ -33,7 +33,8 @@ trait Bounder {
   * Layout, built once from `order`: position `p` holds candidate
   * `cand(p) = order(p)` and its piece `piece(p)`; `posOf` maps a candidate
   * back to its position. The scan reads `idx.coverage(cand(p))` in place and
-  * never writes it. `order` must list distinct candidates of the index.
+  * never writes it. `order` must list distinct candidates of the index, and
+  * `env` must be the table of the index's ℓ and of `params`.
   *
   * Scratch state, all zero between calls:
   *   - `key(s) = anchor·(ℓ+1) + count` for sample `s`, where `anchor` is the
@@ -56,6 +57,9 @@ private[core] final class BoundState(
     env: EnvelopeTable,
     order: Array[Int],
     params: LogisticParams) {
+
+  require(env.ell == idx.ell, s"envelope table is for ℓ=${env.ell}, the index has ℓ=${idx.ell}")
+  require(env.params == params, s"envelope table is for ${env.params}, the bounder for $params")
 
   private val ell = idx.ell
   private val stride = ell + 1

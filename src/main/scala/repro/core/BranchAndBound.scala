@@ -31,8 +31,7 @@ final case class BabResult(
     upperBound: Double,
     gap: Double,
     boundCalls: Int,
-    tauEvals: Long,
-    elapsedMs: Long)
+    tauEvals: Long)
 
 /** Branch-and-bound framework for OIPA (Algorithm 1).
   *
@@ -60,8 +59,13 @@ object BranchAndBound {
     keys.map(_.toInt)
   }
 
+  /** Algorithm 1 over `idx`. The bounder must be built over `idx` itself: its
+    * candidates are read back as vertices through `idx.toPlan`.
+    */
   def run(idx: CoverageIndex, params: LogisticParams, bounder: Bounder, cfg: BabConfig): BabResult = {
-    val t0 = System.nanoTime()
+    require(bounder.idx eq idx,
+      s"the bounder's index (θ=${bounder.idx.theta}, ℓ=${bounder.idx.ell}, ${bounder.idx.candidateCount} candidates) " +
+        s"is not the search's (θ=${idx.theta}, ℓ=${idx.ell}, ${idx.candidateCount} candidates)")
     val order = bounder.order
     val evals0 = bounder.tauEvals
 
@@ -116,19 +120,6 @@ object BranchAndBound {
       upperBound = upper,
       gap = gap,
       boundCalls = calls,
-      tauEvals = bounder.tauEvals - evals0,
-      elapsedMs = (System.nanoTime() - t0) / 1000000L)
-  }
-
-  /** Convenience: plain branch-and-bound (Algorithm 1 + Algorithm 2). */
-  def runGreedy(idx: CoverageIndex, params: LogisticParams, cfg: BabConfig): BabResult = {
-    val env = new EnvelopeTable(params, idx.ell)
-    run(idx, params, new GreedyBounder(idx, env, defaultOrder(idx), params), cfg)
-  }
-
-  /** Convenience: progressive branch-and-bound (Algorithm 1 + Algorithm 3). */
-  def runProgressive(idx: CoverageIndex, params: LogisticParams, cfg: BabConfig, eps: Double): BabResult = {
-    val env = new EnvelopeTable(params, idx.ell)
-    run(idx, params, new ProgressiveBounder(idx, env, defaultOrder(idx), params, eps), cfg)
+      tauEvals = bounder.tauEvals - evals0)
   }
 }

@@ -27,10 +27,12 @@ final case class GraphSpec(
     seed: Long = 42L,
 ) {
   require(nVertices > 1, "need at least 2 vertices")
-  require(targetEdges > 0, "need at least 1 edge")
+  require(targetEdges > 0 && targetEdges <= Int.MaxValue,
+    s"targetEdges must lie in [1, ${Int.MaxValue}], got $targetEdges")
   require(numTopics > 0, "need at least 1 topic")
   require(topicsPerEdge > 0 && topicsPerEdge <= numTopics,
     s"topicsPerEdge must lie in [1, $numTopics]")
+  require(wcScale > 0, s"wcScale must be positive, got $wcScale")
 }
 
 /** Deterministic power-law social-graph generator (DataFrame job).

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.exp.Experiments
 import repro.testkit.SyntheticIndex
 
 class BaselinesSpec extends AnyFunSuite {
@@ -116,7 +117,7 @@ class BaselinesSpec extends AnyFunSuite {
         nVertices = 100, density = 0.3, seed = 1300L + seed)
       val im = Baselines.runIM(mixture, campaign, params, k = 4)
       val tim = Baselines.runTIM(campaign, params, k = 4)
-      val bab = BranchAndBound.runGreedy(campaign, params, BabConfig(k = 4, gapTol = 0.0))
+      val bab = Experiments.search("BAB", campaign, params, BabConfig(k = 4, gapTol = 0.0))
       assert(bab.sigma >= tim.sigma - 1e-9, s"seed=$seed")
       assert(bab.sigma >= im.sigma - 1e-9, s"seed=$seed")
     }

@@ -139,6 +139,21 @@ class BounderReferenceSpec extends AnyFunSuite {
     }
   }
 
+  test("a bounder rejects an envelope table of another ℓ or other logistic parameters") {
+    // Either mismatch can return a τ below σ with no error.
+    val idx = shape(3, 2L, 0)
+    val params = LogisticParams.fromRatio(0.5)
+    val order = BranchAndBound.defaultOrder(idx)
+    def rejected(env: EnvelopeTable): Seq[String] = Seq(
+      intercept[IllegalArgumentException](new GreedyBounder(idx, env, order, params)).getMessage,
+      intercept[IllegalArgumentException](new ProgressiveBounder(idx, env, order, params, 0.5)).getMessage)
+    for (msg <- rejected(new EnvelopeTable(params, 2)))
+      assert(msg.contains("ℓ=2") && msg.contains("ℓ=3"), msg)
+    val other = LogisticParams.fromRatio(0.3)
+    for (msg <- rejected(new EnvelopeTable(other, 3)))
+      assert(msg.contains(other.toString) && msg.contains(params.toString), msg)
+  }
+
   test("computeBound rejects a bad base or freeFrom before touching its state") {
     val idx = shapes.head._2
     val params = paramsGrid.head

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.exp.Experiments
 import repro.testkit.SyntheticIndex
 import repro.util.HashRng
 
@@ -36,7 +37,7 @@ class BranchAndBoundSpec extends AnyFunSuite {
     for (seed <- 1 to 12) {
       val idx = SyntheticIndex.random(theta = 20, ell = 2, nPromoters = 4,
         nVertices = 40, density = 0.35, seed = 700L + seed)
-      val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 3, gapTol = 0.0))
+      val res = Experiments.search("BAB", idx, params, BabConfig(k = 3, gapTol = 0.0))
       val (_, opt) = BruteForce.bestByAu(idx, params, 3)
       assert(res.sigma >= guarantee * opt - 1e-9,
         s"seed=$seed: bab=${res.sigma} opt=$opt")
@@ -47,7 +48,7 @@ class BranchAndBoundSpec extends AnyFunSuite {
     for (seed <- 1 to 12; eps <- Seq(0.2, 0.5)) {
       val idx = SyntheticIndex.random(theta = 20, ell = 2, nPromoters = 4,
         nVertices = 40, density = 0.35, seed = 800L + seed)
-      val res = BranchAndBound.runProgressive(idx, params, BabConfig(k = 3, gapTol = 0.0), eps)
+      val res = Experiments.search("BAB-P", idx, params, BabConfig(k = 3, gapTol = 0.0), eps)
       val (_, opt) = BruteForce.bestByAu(idx, params, 3)
       assert(res.sigma >= (guarantee - eps) * opt - 1e-9,
         s"seed=$seed eps=$eps: bab-p=${res.sigma} opt=$opt")
@@ -60,7 +61,7 @@ class BranchAndBoundSpec extends AnyFunSuite {
     for (seed <- 1 to trials) {
       val idx = SyntheticIndex.random(theta = 25, ell = 2, nPromoters = 4,
         nVertices = 50, density = 0.4, seed = 900L + seed)
-      val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 2, gapTol = 0.0))
+      val res = Experiments.search("BAB", idx, params, BabConfig(k = 2, gapTol = 0.0))
       val (_, opt) = BruteForce.bestByAu(idx, params, 2)
       if (math.abs(res.sigma - opt) < 1e-9) hits += 1
     }
@@ -75,7 +76,7 @@ class BranchAndBoundSpec extends AnyFunSuite {
       val order = BranchAndBound.defaultOrder(idx)
       val rootGreedy = new GreedyBounder(idx, env, order, params)
         .computeBound(Array.empty, 0, 4)
-      val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 4, gapTol = 0.0))
+      val res = Experiments.search("BAB", idx, params, BabConfig(k = 4, gapTol = 0.0))
       assert(res.sigma >= rootGreedy.sigma - 1e-12)
     }
   }
@@ -83,7 +84,7 @@ class BranchAndBoundSpec extends AnyFunSuite {
   test("result invariants: budget, bound, gap, counters") {
     val idx = SyntheticIndex.random(theta = 40, ell = 3, nPromoters = 6,
       nVertices = 80, density = 0.3, seed = 31L)
-    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 5, gapTol = 0.01))
+    val res = Experiments.search("BAB", idx, params, BabConfig(k = 5, gapTol = 0.01))
     assert(res.candidates.length <= 5)
     assert(res.plan.size == res.candidates.length)
     assert(res.sigma <= res.upperBound + 1e-9)
@@ -96,7 +97,7 @@ class BranchAndBoundSpec extends AnyFunSuite {
   test("maxBoundCalls caps the search and still returns a valid plan") {
     val idx = SyntheticIndex.random(theta = 60, ell = 3, nPromoters = 10,
       nVertices = 120, density = 0.25, seed = 32L)
-    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 6, gapTol = 0.0, maxBoundCalls = 5))
+    val res = Experiments.search("BAB", idx, params, BabConfig(k = 6, gapTol = 0.0, maxBoundCalls = 5))
     assert(res.boundCalls <= 5)
     assert(res.candidates.length <= 6)
     assert(res.sigma > 0)
@@ -105,17 +106,35 @@ class BranchAndBoundSpec extends AnyFunSuite {
   test("a loose gap tolerance terminates no later than a tight one") {
     val idx = SyntheticIndex.random(theta = 60, ell = 2, nPromoters = 8,
       nVertices = 120, density = 0.3, seed = 33L)
-    val loose = BranchAndBound.runGreedy(idx, params, BabConfig(k = 4, gapTol = 0.2))
-    val tight = BranchAndBound.runGreedy(idx, params, BabConfig(k = 4, gapTol = 0.0))
+    val loose = Experiments.search("BAB", idx, params, BabConfig(k = 4, gapTol = 0.2))
+    val tight = Experiments.search("BAB", idx, params, BabConfig(k = 4, gapTol = 0.0))
     assert(loose.boundCalls <= tight.boundCalls)
     assert(tight.sigma >= loose.sigma - 1e-9)
+  }
+
+  test("run rejects a bounder built over another index") {
+    val idx = SyntheticIndex.random(theta = 40, ell = 2, nPromoters = 6,
+      nVertices = 80, density = 0.3, seed = 37L)
+    // Without the guard the other index's candidates are read back through
+    // idx.toPlan: a larger pool can index past idx's candidates, and any pool
+    // can map them to the wrong vertices without an error.
+    for (nPromoters <- Seq(7, 6)) {
+      val other = SyntheticIndex.random(theta = 40, ell = 2, nPromoters = nPromoters,
+        nVertices = 80, density = 0.3, seed = 38L)
+      val e = intercept[IllegalArgumentException](
+        BranchAndBound.run(idx, params, Experiments.bounder("BAB", other, params, 0.5), BabConfig(k = 3)))
+      assert(e.getMessage.contains(s"${2 * nPromoters} candidates"), e.getMessage)
+    }
+    val view = idx.takePieces(1)
+    intercept[IllegalArgumentException](
+      BranchAndBound.run(idx, params, Experiments.bounder("BAB-P", view, params, 0.5), BabConfig(k = 3)))
   }
 
   test("BAB is deterministic") {
     val idx = SyntheticIndex.random(theta = 40, ell = 2, nPromoters = 6,
       nVertices = 80, density = 0.3, seed = 34L)
-    val a = BranchAndBound.runGreedy(idx, params, BabConfig(k = 4))
-    val b = BranchAndBound.runGreedy(idx, params, BabConfig(k = 4))
+    val a = Experiments.search("BAB", idx, params, BabConfig(k = 4))
+    val b = Experiments.search("BAB", idx, params, BabConfig(k = 4))
     assert(a.candidates.toSeq == b.candidates.toSeq)
     assert(a.sigma == b.sigma)
   }
@@ -123,7 +142,7 @@ class BranchAndBoundSpec extends AnyFunSuite {
   test("single-piece campaigns reduce to IM-style seed selection") {
     val idx = SyntheticIndex.random(theta = 40, ell = 1, nPromoters = 6,
       nVertices = 80, density = 0.3, seed = 35L)
-    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 3, gapTol = 0.0))
+    val res = Experiments.search("BAB", idx, params, BabConfig(k = 3, gapTol = 0.0))
     val (_, opt) = BruteForce.bestByAu(idx, params, 3)
     assert(res.sigma >= guarantee * opt - 1e-9)
     assert(res.plan.ell == 1)
@@ -132,7 +151,7 @@ class BranchAndBoundSpec extends AnyFunSuite {
   test("budget larger than the candidate space selects everything useful") {
     val idx = SyntheticIndex.random(theta = 20, ell = 2, nPromoters = 2,
       nVertices = 40, density = 0.4, seed = 36L)
-    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 50, gapTol = 0.0))
+    val res = Experiments.search("BAB", idx, params, BabConfig(k = 50, gapTol = 0.0))
     val all = idx.au((0 until idx.candidateCount).toSeq, params)
     assert(math.abs(res.sigma - all) < 1e-9)
   }

@@ -7,7 +7,7 @@ import repro.graphgen.Datasets
 class ExperimentRunnerSpec extends SparkSpec {
 
   private lazy val prep =
-    ExperimentRunner.prepare(spark, Datasets.mini, ell = 3, theta = 1500)
+    Experiments.prepare(spark, Datasets.mini, ell = 3, theta = 1500)
   private val params = LogisticParams.fromRatio(0.5)
 
   test("pieceVectors produces distinct one-hot pieces") {
@@ -42,7 +42,7 @@ class ExperimentRunnerSpec extends SparkSpec {
   }
 
   test("runAll produces all four methods with positive utilities") {
-    val rs = ExperimentRunner.runAll(prep, k = 5, params)
+    val rs = Experiments.runAll(prep, k = 5, params)
     assert(rs.map(_.name) == Seq("IM", "TIM", "BAB", "BAB-P"))
     rs.foreach(r => assert(r.utility > 0, s"${r.name} utility=${r.utility}"))
     rs.foreach(r => assert(r.timeMs >= 0))
@@ -51,7 +51,7 @@ class ExperimentRunnerSpec extends SparkSpec {
   }
 
   test("BAB dominates the baselines; BAB-P stays close to BAB") {
-    val rs = ExperimentRunner.runAll(prep, k = 8, params).map(r => r.name -> r).toMap
+    val rs = Experiments.runAll(prep, k = 8, params).map(r => r.name -> r).toMap
     assert(rs("BAB").utility >= rs("TIM").utility - 1e-9)
     assert(rs("BAB").utility >= rs("IM").utility - 1e-9)
     assert(rs("BAB-P").utility >= 0.7 * rs("BAB").utility,
@@ -59,24 +59,24 @@ class ExperimentRunnerSpec extends SparkSpec {
   }
 
   test("utility grows with the budget") {
-    val small = ExperimentRunner.runAll(prep, k = 2, params, methods = Set("BAB"))
-    val big = ExperimentRunner.runAll(prep, k = 10, params, methods = Set("BAB"))
+    val small = Experiments.runAll(prep, k = 2, params, methods = Set("BAB"))
+    val big = Experiments.runAll(prep, k = 10, params, methods = Set("BAB"))
     assert(big.head.utility >= small.head.utility - 1e-9)
   }
 
   test("utility grows with beta/alpha (easier adoption)") {
-    val hard = ExperimentRunner.runAll(prep, k = 5, LogisticParams.fromRatio(0.3), methods = Set("BAB"))
-    val easy = ExperimentRunner.runAll(prep, k = 5, LogisticParams.fromRatio(0.7), methods = Set("BAB"))
+    val hard = Experiments.runAll(prep, k = 5, LogisticParams.fromRatio(0.3), methods = Set("BAB"))
+    val easy = Experiments.runAll(prep, k = 5, LogisticParams.fromRatio(0.7), methods = Set("BAB"))
     assert(easy.head.utility > hard.head.utility)
   }
 
   test("method filter is honoured") {
-    val rs = ExperimentRunner.runAll(prep, k = 3, params, methods = Set("TIM", "BAB-P"))
+    val rs = Experiments.runAll(prep, k = 3, params, methods = Set("TIM", "BAB-P"))
     assert(rs.map(_.name) == Seq("TIM", "BAB-P"))
   }
 
   test("restrict projects the prepared dataset to an ell prefix") {
-    val r = ExperimentRunner.restrict(prep, 2)
+    val r = Experiments.restrict(prep, 2)
     assert(r.pieces.length == 2 && r.idx.ell == 2)
     assert(r.pieces.map(_.weights.toSeq) == prep.pieces.take(2).map(_.weights.toSeq))
     // A plan over the prefix scores identically on both indices.
@@ -87,12 +87,12 @@ class ExperimentRunnerSpec extends SparkSpec {
   }
 
   test("markdownTable renders GitHub tables") {
-    val t = ExperimentRunner.markdownTable(Seq("a", "b"), Seq(Seq("1", "2"), Seq("3", "4")))
+    val t = Experiments.markdownTable(Seq("a", "b"), Seq(Seq("1", "2"), Seq("3", "4")))
     assert(t ==
       "| a | b |\n| --- | --- |\n| 1 | 2 |\n| 3 | 4 |\n")
   }
 
   test("fmt renders three decimals") {
-    assert(ExperimentRunner.fmt(1.23456) == "1.235")
+    assert(Experiments.fmt(1.23456) == "1.235")
   }
 }

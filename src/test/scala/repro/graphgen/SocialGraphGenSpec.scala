@@ -115,5 +115,13 @@ class SocialGraphGenSpec extends SparkSpec {
     intercept[IllegalArgumentException](Datasets.mini.copy(nVertices = 1))
     intercept[IllegalArgumentException](Datasets.mini.copy(topicsPerEdge = 99))
     intercept[IllegalArgumentException](Datasets.mini.copy(numTopics = 0))
+    // limit(targetEdges.toInt) would wrap 5·10⁹ to 705 032 704.
+    val tooMany = intercept[IllegalArgumentException](Datasets.mini.copy(targetEdges = 5000000000L))
+    assert(tooMany.getMessage.contains("5000000000"), tooMany.getMessage)
+    // With a NaN or non-positive scale no edge probability would leave zero.
+    for (bad <- Seq(Double.NaN, 0.0, -1.0)) {
+      val e = intercept[IllegalArgumentException](Datasets.mini.copy(wcScale = bad))
+      assert(e.getMessage.contains(s"got $bad"), e.getMessage)
+    }
   }
 }

@@ -2,6 +2,7 @@ package repro.influence
 
 import repro.SparkSpec
 import repro.core._
+import repro.exp.Experiments
 import repro.influence.MrrSampler.MrrConfig
 import repro.testkit.ExampleGraphs
 
@@ -42,13 +43,13 @@ class ExampleOneSpec extends SparkSpec {
   }
 
   test("BAB recovers the optimal plan {{a}, {e}} with budget 2") {
-    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 2, gapTol = 0.0))
+    val res = Experiments.search("BAB", idx, params, BabConfig(k = 2, gapTol = 0.0))
     assert(res.plan == Plan(Vector(Set(ExampleGraphs.A), Set(ExampleGraphs.E))), res.plan.toString)
     assert(math.abs(res.sigma - 1.0452) < 0.06, s"sigma=${res.sigma}")
   }
 
   test("BAB-P recovers the same plan") {
-    val res = BranchAndBound.runProgressive(idx, params, BabConfig(k = 2, gapTol = 0.0), eps = 0.5)
+    val res = Experiments.search("BAB-P", idx, params, BabConfig(k = 2, gapTol = 0.0), eps = 0.5)
     assert(res.plan == Plan(Vector(Set(ExampleGraphs.A), Set(ExampleGraphs.E))), res.plan.toString)
   }
 
@@ -62,7 +63,7 @@ class ExampleOneSpec extends SparkSpec {
   }
 
   test("baselines are strictly worse than BAB on the example") {
-    val bab = BranchAndBound.runGreedy(idx, params, BabConfig(k = 2, gapTol = 0.0))
+    val bab = Experiments.search("BAB", idx, params, BabConfig(k = 2, gapTol = 0.0))
     val tim = Baselines.runTIM(idx, params, k = 2)
     assert(tim.sigma < bab.sigma)
     // TIM's best single-piece plan: two seeds on one piece reach at most all
@@ -71,7 +72,7 @@ class ExampleOneSpec extends SparkSpec {
   }
 
   test("single-assignment budget picks one central seed") {
-    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 1, gapTol = 0.0))
+    val res = Experiments.search("BAB", idx, params, BabConfig(k = 1, gapTol = 0.0))
     assert(res.candidates.length == 1)
     // Best single assignment: a on t1 (covers 4 users) or e on t2 (covers 4).
     val plan = res.plan
