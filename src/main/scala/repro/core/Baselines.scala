@@ -59,18 +59,10 @@ object Baselines {
   /** TIM: per-piece topic-aware seed selection over the campaign's own MRR
     * index, then the best single (seed set, piece) assignment by AU.
     */
-  def runTIM(idx: CoverageIndex, params: LogisticParams, k: Int): BaselineResult = {
-    var best: Option[BaselineResult] = None
-    for (j <- 0 until idx.ell) {
-      val lists = idx.promoters.indices.map(p => idx.coverage(p * idx.ell + j))
-      val seeds = greedyMaxCover(lists, idx.theta, k).map(idx.promoters(_))
-      val plan = Plan.singlePiece(idx.ell, j, seeds.toSet)
-      val sigma = idx.auOfPlan(plan, params)
-      if (best.forall(_.sigma < sigma))
-        best = Some(BaselineResult(plan, sigma, j))
+  def runTIM(idx: CoverageIndex, params: LogisticParams, k: Int): BaselineResult =
+    bestPiece(idx, params) { j =>
+      greedyMaxCover(idx.promoters.indices.map(p => idx.coverage(p * idx.ell + j)), idx.theta, k)
     }
-    best.getOrElse(throw new IllegalStateException("campaign has no pieces"))
-  }
 
   /** IM: topic-agnostic seed selection over a separate single-"piece" RR
     * index built on the uniform topic mixture, then the best piece for those
@@ -87,16 +79,20 @@ object Baselines {
     require(mixtureIdx.ell == 1, s"mixture index must have one piece, got ${mixtureIdx.ell}")
     require(java.util.Arrays.equals(mixtureIdx.promoters, idx.promoters),
       "mixture and campaign indices must share the promoter pool")
-    val lists = mixtureIdx.promoters.indices.map(mixtureIdx.coverage)
-    val seeds = greedyMaxCover(lists, mixtureIdx.theta, k).map(mixtureIdx.promoters(_)).toSet
+    val seeds = greedyMaxCover(mixtureIdx.promoters.indices.map(mixtureIdx.coverage), mixtureIdx.theta, k)
+    bestPiece(idx, params)(_ => seeds)
+  }
 
-    var best: Option[BaselineResult] = None
-    for (j <- 0 until idx.ell) {
-      val plan = Plan.singlePiece(idx.ell, j, seeds)
-      val sigma = idx.auOfPlan(plan, params)
-      if (best.forall(_.sigma < sigma))
-        best = Some(BaselineResult(plan, sigma, j))
+  /** The best single-piece plan: piece `j` goes to the promoters at pool
+    * positions `seedsFor(j)`, scored as the candidates `position·ℓ + j`. The
+    * first strictly larger σ wins, and only the winner becomes a [[Plan]].
+    */
+  private def bestPiece(idx: CoverageIndex, params: LogisticParams)(seedsFor: Int => Array[Int]): BaselineResult = {
+    val scored = (0 until idx.ell).map { j =>
+      val candidates = seedsFor(j).map(_ * idx.ell + j)
+      (j, candidates, idx.au(candidates, params))
     }
-    best.getOrElse(throw new IllegalStateException("campaign has no pieces"))
+    val (piece, candidates, sigma) = scored.reduceLeft((a, b) => if (a._3 < b._3) b else a)
+    BaselineResult(idx.toPlan(candidates), sigma, piece)
   }
 }

@@ -26,15 +26,16 @@ trait Bounder {
   def tauEvals: Long
 }
 
-/** The ComputeBound kernel one bounder owns and reuses for every call: the
-  * candidates in scan order, and the per-call scratch state. Not
-  * thread-safe; a bounder serves one call at a time.
+/** The ComputeBound kernel both bounders are built on: the candidates in
+  * scan order, the per-call scratch state and the τ-evaluation counter.
+  * Subclasses add only their selection rule. Not thread-safe; a bounder
+  * serves one call at a time.
   *
-  * Layout, built once from `order`: position `p` holds candidate
-  * `cand(p) = order(p)` and its piece `piece(p)`; `posOf` maps a candidate
-  * back to its position. The scan reads `idx.coverage(cand(p))` in place and
-  * never writes it. `order` must list distinct candidates of the index, and
-  * `env` must be the table of the index's ℓ and of `params`.
+  * Layout, built once from `order`: position `p` holds candidate `order(p)`
+  * and its piece `piece(p)`; `posOf` maps a candidate back to its position.
+  * The scan reads `idx.coverage(order(p))` in place and never writes it.
+  * `order` must list distinct candidates of the index, and `env` must be the
+  * table of the index's ℓ and of `params`.
   *
   * Scratch state, all zero between calls:
   *   - `key(s) = anchor·(ℓ+1) + count` for sample `s`, where `anchor` is the
@@ -52,11 +53,11 @@ trait Bounder {
   * doubles at O(touched + θ/64) per call. The σ pass also clears `key`,
   * `cells` and `touched`, and `result` clears `taken`.
   */
-private[core] final class BoundState(
-    idx: CoverageIndex,
-    env: EnvelopeTable,
-    order: Array[Int],
-    params: LogisticParams) {
+sealed abstract class KernelBounder(
+    val idx: CoverageIndex,
+    val env: EnvelopeTable,
+    val order: Array[Int],
+    params: LogisticParams) extends Bounder {
 
   require(env.ell == idx.ell, s"envelope table is for ℓ=${env.ell}, the index has ℓ=${idx.ell}")
   require(env.params == params, s"envelope table is for ${env.params}, the bounder for $params")
@@ -67,9 +68,8 @@ private[core] final class BoundState(
   private val gains = env.gains
   private val adopt = Array.tabulate(stride)(params.adoptionProb)
 
-  val size: Int = order.length
-  val cand: Array[Int] = order
-  val posOf: Array[Int] = new Array[Int](nCand)
+  protected final val size: Int = order.length
+  protected final val posOf: Array[Int] = new Array[Int](nCand)
   private val piece = new Array[Int](size)
   layout()
 
@@ -81,7 +81,7 @@ private[core] final class BoundState(
     java.util.Arrays.fill(posOf, -1)
     var p = 0
     while (p < size) {
-      val c = cand(p)
+      val c = order(p)
       if (c < 0 || c >= nCand || posOf(c) >= 0)
         throw new IllegalArgumentException(s"order entry $c at position $p is out of [0, $nCand) or repeated")
       posOf(c) = p
@@ -93,18 +93,22 @@ private[core] final class BoundState(
   private val key = new Array[Int](idx.theta)
   private val cells = new Array[Long](((idx.theta.toLong * ell + 63) >> 6).toInt)
   private val touched = new Array[Long]((idx.theta + 63) >> 6)
-  val taken = new Array[Boolean](size)
+  protected final val taken = new Array[Boolean](size)
   private val picked = new Array[Int](size)
   private var nPicked = 0
 
   /** τ accumulator in raw (per-sample) units. */
   private var tauRaw = 0.0
 
+  /** Marginal τ evaluations so far; the subclass counts its own. */
+  protected var evals = 0L
+  final override def tauEvals: Long = evals
+
   /** Checks the call's arguments, then anchors the samples S̄ᵃ covers and sets
     * τ to Σᵢ env.base(aᵢ). Rejects before any state is written, so a bad call
     * leaves the bounder as it was.
     */
-  def begin(base: Array[Int], freeFrom: Int): Unit = {
+  protected final def begin(base: Array[Int], freeFrom: Int): Unit = {
     require(freeFrom >= 0 && freeFrom <= size, s"freeFrom $freeFrom out of [0, $size]")
     for (c <- base) require(c >= 0 && c < nCand, s"base candidate $c out of [0, $nCand)")
     for (c <- base) {
@@ -136,9 +140,9 @@ private[core] final class BoundState(
   }
 
   /** Marginal τ gain of adding the candidate at position `p` right now. */
-  def gainAt(p: Int): Double = {
+  protected final def gainAt(p: Int): Double = {
     val pc = piece(p)
-    val list = idx.coverage(cand(p))
+    val list = idx.coverage(order(p))
     var g = 0.0
     var i = 0
     while (i < list.length) {
@@ -151,9 +155,9 @@ private[core] final class BoundState(
   }
 
   /** Commits the candidate at position `p` into the selection. */
-  def select(p: Int): Unit = {
+  protected final def select(p: Int): Unit = {
     val pc = piece(p)
-    val list = idx.coverage(cand(p))
+    val list = idx.coverage(order(p))
     var g = 0.0
     var i = 0
     while (i < list.length) {
@@ -174,16 +178,16 @@ private[core] final class BoundState(
   }
 
   /** Number of candidates selected by this call so far. */
-  def selected: Int = nPicked
+  protected final def selected: Int = nPicked
 
   /** The call's result — `base` plus the selection, σ and τ — after which the
     * scratch state is zero again.
     */
-  def result(base: Array[Int]): BoundResult = {
+  protected final def result(base: Array[Int]): BoundResult = {
     val complete = java.util.Arrays.copyOf(base, base.length + nPicked)
     var i = 0
     while (i < nPicked) {
-      complete(base.length + i) = cand(picked(i))
+      complete(base.length + i) = order(picked(i))
       taken(picked(i)) = false
       i += 1
     }
@@ -216,35 +220,31 @@ private[core] final class BoundState(
   *
   * `computeBound` is the paper's literal plain-scan greedy — O(k·|free|)
   * marginal evaluations per call — because the evaluation's BAB-vs-BAB-P
-  * speedup comparison is defined against that cost profile. The bounder owns
-  * its [[BoundState]], so it serves one call at a time.
+  * speedup comparison is defined against that cost profile. The bounder is
+  * its [[KernelBounder]], so it serves one call at a time.
   */
 final class GreedyBounder(
-    val idx: CoverageIndex,
-    val env: EnvelopeTable,
-    val order: Array[Int],
-    params: LogisticParams) extends Bounder {
-
-  private val st = new BoundState(idx, env, order, params)
-  private var evals = 0L
-  override def tauEvals: Long = evals
+    idx: CoverageIndex,
+    env: EnvelopeTable,
+    order: Array[Int],
+    params: LogisticParams) extends KernelBounder(idx, env, order, params) {
 
   override def computeBound(base: Array[Int], freeFrom: Int, k: Int): BoundResult = {
-    st.begin(base, freeFrom)
+    begin(base, freeFrom)
     val kPrime = k - base.length
-    val cand = st.cand
-    val taken = st.taken
+    val cand = this.order
+    val taken = this.taken
     var scanned = 0L
     var done = false
-    while (st.selected < kPrime && !done) {
+    while (selected < kPrime && !done) {
       var bestP = -1
       var bestC = -1
       var bestG = 0.0
       var p = freeFrom
-      while (p < st.size) {
+      while (p < size) {
         if (!taken(p)) {
           scanned += 1
-          val g = st.gainAt(p)
+          val g = gainAt(p)
           val c = cand(p)
           // Strictly-better wins; exact ties go to the lower candidate index.
           if (g > bestG || (g == bestG && g > 0 && (bestC < 0 || c < bestC))) {
@@ -253,10 +253,10 @@ final class GreedyBounder(
         }
         p += 1
       }
-      if (bestP < 0) done = true else st.select(bestP)
+      if (bestP < 0) done = true else select(bestP)
     }
     evals += scanned
-    st.result(base)
+    result(base)
   }
 }
 
@@ -266,29 +266,25 @@ final class GreedyBounder(
   * scan as soon as δ∅ falls under `h` (submodularity ⇒ nothing later can
   * qualify), lowers `h` by (1+ε) between scans, and stops early once
   * `h ≤ τ·e⁻¹ / ((k−|S̄ᵃ|)(1−e⁻¹))` — the power-law early exit that yields the
-  * (1−1/e−ε) ratio (Theorem 3). Like [[GreedyBounder]], the bounder owns its
-  * scratch state and serves one call at a time.
+  * (1−1/e−ε) ratio (Theorem 3). Like [[GreedyBounder]], the bounder is its
+  * [[KernelBounder]] and serves one call at a time.
   */
 final class ProgressiveBounder(
-    val idx: CoverageIndex,
-    val env: EnvelopeTable,
-    val order: Array[Int],
+    idx: CoverageIndex,
+    env: EnvelopeTable,
+    order: Array[Int],
     params: LogisticParams,
-    eps: Double) extends Bounder {
+    eps: Double) extends KernelBounder(idx, env, order, params) {
 
   require(eps > 0, s"epsilon must be positive, got $eps")
-
-  private val st = new BoundState(idx, env, order, params)
-  private var evals = 0L
-  override def tauEvals: Long = evals
 
   private val stopFactor = math.exp(-1.0) / (1.0 - math.exp(-1.0))
 
   // δ∅ per position, and the sort scratch of the δ∅ order.
-  private val delta0 = new Array[Double](st.size)
-  private val distinct = new Array[Double](st.size)
-  private val keys = new Array[Long](st.size)
-  private val byGain = new Array[Int](st.size)
+  private val delta0 = new Array[Double](size)
+  private val distinct = new Array[Double](size)
+  private val keys = new Array[Long](size)
+  private val byGain = new Array[Int](size)
 
   /** Sorts the free positions with δ∅ > 0 into `byGain` by δ∅ descending, ties
     * to the lower candidate, and returns how many there are. Zero-gain
@@ -299,7 +295,7 @@ final class ProgressiveBounder(
   private def sortByGain(freeFrom: Int): Int = {
     var n = 0
     var p = freeFrom
-    while (p < st.size) {
+    while (p < size) {
       if (delta0(p) > 0) { distinct(n) = delta0(p); n += 1 }
       p += 1
     }
@@ -315,28 +311,28 @@ final class ProgressiveBounder(
     }
     i = 0
     p = freeFrom
-    while (p < st.size) {
+    while (p < size) {
       if (delta0(p) > 0) {
         val rank = nDistinct - 1 - java.util.Arrays.binarySearch(distinct, 0, nDistinct, delta0(p))
-        keys(i) = rank.toLong << 32 | st.cand(p)
+        keys(i) = rank.toLong << 32 | this.order(p)
         i += 1
       }
       p += 1
     }
     java.util.Arrays.sort(keys, 0, n)
     i = 0
-    while (i < n) { byGain(i) = st.posOf(keys(i).toInt); i += 1 }
+    while (i < n) { byGain(i) = posOf(keys(i).toInt); i += 1 }
     n
   }
 
   override def computeBound(base: Array[Int], freeFrom: Int, k: Int): BoundResult = {
-    st.begin(base, freeFrom)
+    begin(base, freeFrom)
     val kPrime = k - base.length
 
-    if (kPrime > 0 && freeFrom < st.size) {
+    if (kPrime > 0 && freeFrom < size) {
       var q = freeFrom
-      while (q < st.size) { delta0(q) = st.gainAt(q); q += 1 }
-      evals += st.size - freeFrom
+      while (q < size) { delta0(q) = gainAt(q); q += 1 }
+      evals += size - freeFrom
       val nGain = sortByGain(freeFrom)
 
       var h = if (nGain > 0) delta0(byGain(0)) else 0.0
@@ -346,25 +342,25 @@ final class ProgressiveBounder(
       // the pruning bound.
       var tauGain = 0.0
       var stop = h <= 0
-      while (!stop && st.selected < kPrime) {
+      while (!stop && selected < kPrime) {
         var i = 0
         var scanDone = false
-        while (!scanDone && i < nGain && st.selected < kPrime) {
+        while (!scanDone && i < nGain && selected < kPrime) {
           val p = byGain(i)
           if (delta0(p) < h) scanDone = true // Lines 11–12: sorted ⇒ early break
-          else if (!st.taken(p)) {
+          else if (!taken(p)) {
             evals += 1
-            val g = st.gainAt(p)
-            if (g >= h) { st.select(p); tauGain += g }
+            val g = gainAt(p)
+            if (g >= h) { select(p); tauGain += g }
           }
           i += 1
         }
-        if (st.selected < kPrime) {
+        if (selected < kPrime) {
           h = h / (1.0 + eps)
           if (h <= tauGain / kPrime * stopFactor) stop = true // Line 14 early exit
         }
       }
     }
-    st.result(base)
+    result(base)
   }
 }

@@ -60,7 +60,8 @@ object BranchAndBound {
   }
 
   /** Algorithm 1 over `idx`. The bounder must be built over `idx` itself: its
-    * candidates are read back as vertices through `idx.toPlan`.
+    * candidates are read back as vertices through `idx.toPlan`. `params` is
+    * not read; it stays for the benchmark's call sites.
     */
   def run(idx: CoverageIndex, params: LogisticParams, bounder: Bounder, cfg: BabConfig): BabResult = {
     require(bounder.idx eq idx,

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{IntegerType, LongType}
 import scala.collection.mutable
 
@@ -118,19 +117,19 @@ object CoverageIndex {
   /** Build the index from sampler output `(sample, piece, v)`, keeping only
     * promoter memberships.
     *
-    * One pass over the rows: each task binary-searches `v` in the sorted pool
-    * and sends back one `Int` array of `(sample, piece, promoter position)`
-    * triples; non-promoter rows never leave the executors. The driver checks
-    * the ranges, lays the triples out per candidate with a counting sort and
-    * sorts and dedupes each list in place.
+    * One pass over the rows of `mrr.queryExecution.toRdd`, read in place at
+    * the three columns' ordinals: each task binary-searches `v` in the sorted
+    * pool and sends back one `Int` array of `(sample, piece, promoter
+    * position)` triples; non-promoter rows never leave the executors. The
+    * driver checks the ranges, lays the triples out per candidate with a
+    * counting sort and sorts and dedupes each list in place.
     *
-    * Column contract: `sample` and `piece` are `int`, `v` is `int` or `long`
-    * (an `int` is widened). Any other type raises an
-    * `IllegalArgumentException` naming the column; `sample` and `piece` are
-    * never cast down, which would silently wrap out-of-range ids into range.
-    * A null value fails the job. A `sample` outside `[0, theta)` or a
-    * `piece` outside `[0, ell)` on a promoter row is rejected too.
-    * `promoters` may be unsorted and hold duplicates.
+    * Column contract, the sampler's row format: `sample: int`, `piece: int`,
+    * `v: long`, found by name. A missing column or any other type (an `int`
+    * `v` included) raises an `IllegalArgumentException` naming the column and
+    * both types; nothing is cast. A null value fails the job. A `sample`
+    * outside `[0, theta)` or a `piece` outside `[0, ell)` on a promoter row is
+    * rejected too. `promoters` may be unsorted and hold duplicates.
     */
   def build(
       mrr: DataFrame,
@@ -139,20 +138,19 @@ object CoverageIndex {
       nVertices: Long,
       promoters: Array[Long]): CoverageIndex = {
     val pool = promoters.sorted.distinct
-    val cols = mrr.select("sample", "piece", "v")
-    cols.schema.fields.zipWithIndex.foreach { case (f, i) =>
-      val ok = f.dataType == IntegerType || (i == 2 && f.dataType == LongType)
-      require(ok, s"column ${f.name} must be ${if (i == 2) "int or long" else "int"}, " +
-        s"got ${f.dataType.simpleString}")
+    val Seq(si, pi, vi) = Seq("sample" -> IntegerType, "piece" -> IntegerType, "v" -> LongType).map { case (name, want) =>
+      val got = mrr.schema.find(_.name == name).map(_.dataType)
+      require(got.contains(want), s"column $name must be ${want.simpleString}, got ${got.fold("no such column")(_.simpleString)}")
+      mrr.schema.fieldIndex(name)
     }
-    val triples = cols.select(col("sample"), col("piece"), col("v").cast(LongType))
-      .queryExecution.toRdd
+    val triples = mrr.queryExecution.toRdd
       .mapPartitions { rows =>
         val out = new mutable.ArrayBuilder.ofInt
         rows.foreach { r =>
-          if (r.anyNull) throw new IllegalArgumentException("null in an MRR row (sample, piece, v)")
-          val p = java.util.Arrays.binarySearch(pool, r.getLong(2))
-          if (p >= 0) { out += r.getInt(0); out += r.getInt(1); out += p }
+          if (r.isNullAt(si) || r.isNullAt(pi) || r.isNullAt(vi))
+            throw new IllegalArgumentException("null in an MRR row (sample, piece, v)")
+          val p = java.util.Arrays.binarySearch(pool, r.getLong(vi))
+          if (p >= 0) { out += r.getInt(si); out += r.getInt(pi); out += p }
         }
         Iterator.single(out.result())
       }

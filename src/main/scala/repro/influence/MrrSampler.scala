@@ -152,7 +152,7 @@ object MrrSampler {
     val ell = weights.length
 
     val sc = spark.sparkContext
-    val rows = sc.range(0, cfg.theta, numSlices = sc.defaultParallelism)
+    val rows = sc.parallelize(0 until cfg.theta, sc.defaultParallelism)
       .mapPartitions { it =>
         val g = bc.value
         // seen(v) == epoch marks v reached in the current (sample, piece);
@@ -160,8 +160,7 @@ object MrrSampler {
         val seen = new Array[Int](n.toInt)
         val reached = new Array[Int](n.toInt)
         var epoch = 0
-        it.flatMap { id =>
-          val sample = id.toInt
+        it.flatMap { sample =>
           val root = rootOf(sample, n, seed).toInt
           (0 until ell).iterator.flatMap { piece =>
             val w = weights(piece)

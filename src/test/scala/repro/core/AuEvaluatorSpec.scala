@@ -136,17 +136,17 @@ class AuEvaluatorSpec extends SparkSpec {
       a.promoters.sameElements(b.promoters) &&
       (0 until a.candidateCount).forall(c => a.coverage(c).sameElements(b.coverage(c)))
 
-  test("build widens an int v column and rejects a long sample column") {
+  test("build rejects an int v column and a long sample column") {
     import spark.implicits._
-    // A negative id tells a widened int from the raw bits of its row slot.
+    // A negative id must come back as itself.
     val rows = Seq((0, 0, 5), (2, 1, 7), (1, 0, 9), (1, 1, 5), (0, 1, -3))
     def build(df: org.apache.spark.sql.DataFrame): CoverageIndex =
       CoverageIndex.build(df, 3, 2, 10, Array(7L, 5L, -3L))
-    val byInt = build(rows.toDF("sample", "piece", "v"))
+    val intV = intercept[IllegalArgumentException](build(rows.toDF("sample", "piece", "v"))).getMessage
+    assert(intV.contains("column v") && intV.contains("int") && intV.contains("bigint"), intV)
     val byLong = build(rows.map { case (s, j, v) => (s, j, v.toLong) }.toDF("sample", "piece", "v"))
-    assert(sameIndex(byInt, byLong))
-    assert(byInt.coverage(byInt.candidateOf(5L, 1)).toSeq == Seq(1))
-    assert(byInt.coverage(byInt.candidateOf(-3L, 1)).toSeq == Seq(0))
+    assert(byLong.coverage(byLong.candidateOf(5L, 1)).toSeq == Seq(1))
+    assert(byLong.coverage(byLong.candidateOf(-3L, 1)).toSeq == Seq(0))
     val longSample = intercept[IllegalArgumentException](
       build(rows.map { case (s, j, v) => (s.toLong, j, v.toLong) }.toDF("sample", "piece", "v")))
     assert(longSample.getMessage.contains("sample") && longSample.getMessage.contains("bigint"))
@@ -156,6 +156,19 @@ class AuEvaluatorSpec extends SparkSpec {
     val doubleV = intercept[IllegalArgumentException](
       build(rows.map { case (s, j, v) => (s, j, v.toDouble) }.toDF("sample", "piece", "v")))
     assert(doubleV.getMessage.contains("column v"))
+    val missingV = intercept[IllegalArgumentException](
+      build(rows.map { case (s, j, v) => (s, j, v.toLong) }.toDF("sample", "piece", "vertex"))).getMessage
+    assert(missingV.contains("column v") && missingV.contains("bigint"), missingV)
+  }
+
+  test("build rejects a null in an MRR row") {
+    import spark.implicits._
+    // A null long reads as 0 from its row slot, so without the guard the
+    // second row would silently record promoter 0.
+    val df = Seq((0, 0, Some(5L)), (1, 0, None)).toDF("sample", "piece", "v")
+    val e = intercept[Exception](CoverageIndex.build(df, 2, 1, 10, Array(0L, 5L)))
+    val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+    assert(causes.exists(t => String.valueOf(t.getMessage).contains("null in an MRR row")), e.toString)
   }
 
   test("build is independent of partitioning, duplicates included") {

@@ -95,6 +95,48 @@ class BaselinesSpec extends AnyFunSuite {
     assert(r.sigma >= campaign.auOfPlan(Plan.singlePiece(2, other, seeds), params) - 1e-12)
   }
 
+  /** The plan-level route: each piece's seeds as a single-piece [[Plan]],
+    * scored by `auOfPlan`; the first strictly larger σ wins.
+    */
+  private def planRoute(idx: CoverageIndex, seedsFor: Int => Array[Int]): Baselines.BaselineResult = {
+    var best: Option[Baselines.BaselineResult] = None
+    for (j <- 0 until idx.ell) {
+      val plan = Plan.singlePiece(idx.ell, j, seedsFor(j).map(idx.promoters(_)).toSet)
+      val sigma = idx.auOfPlan(plan, params)
+      if (best.forall(_.sigma < sigma)) best = Some(Baselines.BaselineResult(plan, sigma, j))
+    }
+    best.get
+  }
+
+  private def assertSameResult(got: Baselines.BaselineResult, want: Baselines.BaselineResult, at: String): Unit = {
+    assert(got.plan == want.plan, at)
+    assert(got.piece == want.piece, at)
+    assert(java.lang.Double.doubleToLongBits(got.sigma) == java.lang.Double.doubleToLongBits(want.sigma), at)
+  }
+
+  test("TIM and IM equal the plan-level route bit for bit") {
+    // Six promoters, so k = 8 exceeds the pool.
+    for (ell <- Seq(1, 2, 5); k <- Seq(1, 3, 8); seed <- 1 to 4) {
+      val idx = SyntheticIndex.random(theta = 40, ell = ell, nPromoters = 6,
+        nVertices = 80, density = 0.2, seed = 1400L + 10 * ell + seed)
+      val mixture = SyntheticIndex.random(theta = 40, ell = 1, nPromoters = 6,
+        nVertices = 80, density = 0.2, seed = 1500L + 10 * ell + seed)
+      val timSeeds = (j: Int) =>
+        Baselines.greedyMaxCover(idx.promoters.indices.map(p => idx.coverage(p * ell + j)), idx.theta, k)
+      val imSeeds = Baselines.greedyMaxCover(mixture.promoters.indices.map(mixture.coverage), mixture.theta, k)
+      assertSameResult(Baselines.runTIM(idx, params, k), planRoute(idx, timSeeds), s"TIM ell=$ell k=$k seed=$seed")
+      assertSameResult(Baselines.runIM(mixture, idx, params, k), planRoute(idx, _ => imSeeds),
+        s"IM ell=$ell k=$k seed=$seed")
+    }
+    // Every piece ties: both keep the first.
+    val promoters = Array(1L, 2L)
+    val lists = for (v <- promoters.toSeq; j <- 0 until 3) yield (v, j) -> Seq(v.toInt, 3)
+    val tied = SyntheticIndex.explicit(theta = 4, ell = 3, nVertices = 8, promoters, lists.toMap)
+    val mixture = SyntheticIndex.explicit(theta = 4, ell = 1, nVertices = 8, promoters, Map((1L, 0) -> Seq(1)))
+    assertSameResult(Baselines.runTIM(tied, params, 1), planRoute(tied, _ => Array(0)), "TIM tie")
+    assertSameResult(Baselines.runIM(mixture, tied, params, 1), planRoute(tied, _ => Array(0)), "IM tie")
+  }
+
   test("IM rejects a multi-piece mixture index") {
     val campaign = SyntheticIndex.random(theta = 20, ell = 2, nPromoters = 4,
       nVertices = 40, density = 0.3, seed = 44L)
