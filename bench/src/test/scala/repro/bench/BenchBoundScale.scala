@@ -8,7 +8,8 @@ import repro.graphgen.Datasets
   * ℓ = 3, k = 50, β/α = 0.3, 1 % gap and a 60-call cap, at
   * θ ∈ {10⁴, 10⁵, 4·10⁵}. Only the time inside `computeBound` counts: each
   * search runs once to warm up, then `Runs` times, and the table gives the
-  * median ms per call with the search's bound calls, τ-evaluations and σ.
+  * median, min and max ms per call with the search's bound calls,
+  * τ-evaluations and σ.
   */
 class BenchBoundScale extends BenchBase {
 
@@ -18,7 +19,7 @@ class BenchBoundScale extends BenchBase {
   private val cfg = BabConfig(k = 50, maxBoundCalls = 60)
   private val Eps = 0.5
   private val Thetas = Seq(10000, 100000, 400000)
-  private val Runs = 3
+  private val Runs = 9
 
   /** Delegates to `inner` and adds up the time spent in its `computeBound`. */
   private final class TimingBounder(inner: Bounder) extends Bounder {
@@ -58,16 +59,17 @@ class BenchBoundScale extends BenchBase {
           assert(again.candidates.toSeq == r.candidates.toSeq && again.tauEvals == r.tauEvals,
             s"theta=$theta $method: repeated searches differ")
         }
-        (method, runs.map(_._1).sorted.apply(Runs / 2), r)
+        (method, runs.map(_._1).sorted, r)
       }
       val bab = results(0)._3
       val babP = results(1)._3
       assert(babP.tauEvals < bab.tauEvals, s"theta=$theta: BAB-P ${babP.tauEvals} vs BAB ${bab.tauEvals} tau-evals")
       results.map { case (method, ms, r) =>
-        Seq(theta.toString, method, f"$ms%.3f", r.boundCalls.toString, r.tauEvals.toString, r.sigma.toString)
+        Seq(theta.toString, method, f"${ms(Runs / 2)}%.3f", f"${ms.head}%.3f", f"${ms.last}%.3f",
+          r.boundCalls.toString, r.tauEvals.toString, r.sigma.toString)
       }
     }
     report("Bound-call cost vs theta (lastfm, l=3, k=50, b/a=0.3, 60-call cap)",
-      Seq("theta", "method", "ms_per_call", "bound_calls", "tau_evals", "sigma"), rows)
+      Seq("theta", "method", "ms_per_call", "min_ms", "max_ms", "bound_calls", "tau_evals", "sigma"), rows)
   }
 }

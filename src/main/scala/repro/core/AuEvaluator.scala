@@ -19,20 +19,14 @@ object AuEvaluator {
     */
   def coverageCounts(spark: SparkSession, mrr: DataFrame, plan: Plan): DataFrame = {
     import spark.implicits._
-    val assignments = plan.assignments.map { case (v, j) => (j, v) }
-    if (assignments.isEmpty) {
-      spark.emptyDataset[(Int, Long)].toDF("sample", "cnt")
-        .select(col("sample").cast("int").as("sample"), col("cnt"))
-    } else {
-      val planDf = assignments.toDF("piece", "v")
-      mrr.join(planDf, Seq("piece", "v"))
-        .select("sample", "piece").distinct()
-        .groupBy("sample").agg(count(lit(1)).as("cnt"))
-    }
+    val planDf = plan.assignments.map { case (v, j) => (j, v) }.toDF("piece", "v")
+    mrr.join(planDf, Seq("piece", "v"))
+      .select("sample", "piece").distinct()
+      .groupBy("sample").agg(count(lit(1)).as("cnt"))
   }
 
   /** One-row DataFrame `(au: Double)` with the plan's AU estimate:
-    * `n/θ · Σ_covered 1/(1+exp(α − β·cnt))`.
+    * `n/θ · Σ_covered 1/(1+exp(α − β·cnt))`, for θ ≥ 1 and n ≥ 1.
     */
   def dataFrame(
       spark: SparkSession,
@@ -41,8 +35,9 @@ object AuEvaluator {
       params: LogisticParams,
       nVertices: Long,
       theta: Int): DataFrame = {
-    val counts = coverageCounts(spark, mrr, plan)
-    counts
+    require(theta >= 1, s"theta must be at least 1, got $theta")
+    require(nVertices >= 1, s"nVertices must be at least 1, got $nVertices")
+    coverageCounts(spark, mrr, plan)
       .select(lit(1.0) / (lit(1.0) + exp(lit(params.alpha) - lit(params.beta) * col("cnt"))) as "p")
       .agg(coalesce(sum(col("p")), lit(0.0)).as("sumP"))
       .select((lit(nVertices.toDouble / theta) * col("sumP")).as("au"))

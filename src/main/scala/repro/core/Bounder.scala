@@ -111,21 +111,7 @@ sealed abstract class KernelBounder(
   protected final def begin(base: Array[Int], freeFrom: Int): Unit = {
     require(freeFrom >= 0 && freeFrom <= size, s"freeFrom $freeFrom out of [0, $size]")
     for (c <- base) require(c >= 0 && c < nCand, s"base candidate $c out of [0, $nCand)")
-    for (c <- base) {
-      val pc = idx.pieceOf(c)
-      val list = idx.coverage(c)
-      var i = 0
-      while (i < list.length) {
-        val s = list(i)
-        val bit = s * ell + pc
-        if ((cells(bit >>> 6) & (1L << bit)) == 0) {
-          cells(bit >>> 6) |= 1L << bit
-          key(s) += stride + 1
-          touched(s >>> 6) |= 1L << s
-        }
-        i += 1
-      }
-    }
+    for (c <- base) cover(idx.coverage(c), idx.pieceOf(c), stride + 1)
     var t = 0.0
     var w = 0
     while (w < touched.length) {
@@ -154,10 +140,12 @@ sealed abstract class KernelBounder(
     g
   }
 
-  /** Commits the candidate at position `p` into the selection. */
-  protected final def select(p: Int): Unit = {
-    val pc = piece(p)
-    val list = idx.coverage(order(p))
+  /** Covers the uncovered cells of `list` for piece `pc`, adding `step` to
+    * each one's sample key, and returns the τ gain at the keys before the
+    * step. `begin` may ignore it: τ's base comes from `env.base`, and every
+    * key it reads (anchor = count ≤ ℓ − 1) lies inside [[EnvelopeTable.gains]].
+    */
+  private def cover(list: Array[Int], pc: Int, step: Int): Double = {
     var g = 0.0
     var i = 0
     while (i < list.length) {
@@ -166,12 +154,17 @@ sealed abstract class KernelBounder(
       if ((cells(bit >>> 6) & (1L << bit)) == 0) {
         cells(bit >>> 6) |= 1L << bit
         g += gains(key(s))
-        key(s) += 1
+        key(s) += step
         touched(s >>> 6) |= 1L << s
       }
       i += 1
     }
-    tauRaw += g
+    g
+  }
+
+  /** Commits the candidate at position `p` into the selection. */
+  protected final def select(p: Int): Unit = {
+    tauRaw += cover(idx.coverage(order(p)), piece(p), 1)
     taken(p) = true
     picked(nPicked) = p
     nPicked += 1

@@ -61,7 +61,9 @@ object BranchAndBound {
 
   /** Algorithm 1 over `idx`. The bounder must be built over `idx` itself: its
     * candidates are read back as vertices through `idx.toPlan`. `params` is
-    * not read; it stays for the benchmark's call sites.
+    * not read; it stays for the benchmark's call sites. Both children of an
+    * expansion take one step, `child`: bound, raise the incumbent, and enqueue
+    * while τ beats the incumbent and the child can still branch.
     */
   def run(idx: CoverageIndex, params: LogisticParams, bounder: Bounder, cfg: BabConfig): BabResult = {
     require(bounder.idx eq idx,
@@ -88,27 +90,22 @@ object BranchAndBound {
 
     def gapClosed(u: Double): Boolean = u - lower <= cfg.gapTol * math.max(lower, 1e-12)
 
+    def child(included: Array[Int], next: Int): Unit = {
+      val res = bound(included, next)
+      if (res.sigma > lower) { lower = res.sigma; best = res.complete }
+      if (res.tau > lower && included.length < cfg.k && next < order.length)
+        heap.enqueue(Node(res.tau, included, next))
+    }
+
     var stop = false
     while (!stop && heap.nonEmpty && calls < cfg.maxBoundCalls) {
       val node = heap.dequeue()
       upper = node.u
       if (gapClosed(node.u)) stop = true
       else if (node.nextIdx < order.length && node.included.length < cfg.k) {
-        val cand = order(node.nextIdx)
         val next = node.nextIdx + 1
-
-        val withCand = node.included :+ cand
-        val resA = bound(withCand, next)
-        if (resA.sigma > lower) { lower = resA.sigma; best = resA.complete }
-        if (resA.tau > lower && withCand.length < cfg.k && next < order.length)
-          heap.enqueue(Node(resA.tau, withCand, next))
-
-        if (calls < cfg.maxBoundCalls) {
-          val resB = bound(node.included, next)
-          if (resB.sigma > lower) { lower = resB.sigma; best = resB.complete }
-          if (resB.tau > lower && next < order.length)
-            heap.enqueue(Node(resB.tau, node.included, next))
-        }
+        child(node.included :+ order(node.nextIdx), next)
+        if (calls < cfg.maxBoundCalls) child(node.included, next)
       }
     }
     if (heap.isEmpty && !stop) upper = lower

@@ -17,7 +17,7 @@ import scala.collection.mutable
   *
   * @param theta     number of MRR samples drawn, at least 1
   * @param ell       number of viral pieces, at least 1
-  * @param nVertices |V| of the underlying graph (estimator scale n/θ)
+  * @param nVertices |V| of the underlying graph (estimator scale n/θ), ≥ 1
   * @param promoters promoter pool Vp, strictly ascending (sorted, distinct):
   *                  `candidateOf` binary-searches it
   */
@@ -30,6 +30,7 @@ final class CoverageIndex(
 
   require(theta >= 1, s"theta must be at least 1, got $theta")
   require(ell >= 1, s"ell must be at least 1, got $ell")
+  require(nVertices >= 1, s"nVertices must be at least 1, got $nVertices")
   require(theta.toLong * ell <= Int.MaxValue,
     s"theta × ell = ${theta.toLong * ell} cells exceed Int.MaxValue")
   require(cov.length == promoters.length * ell,

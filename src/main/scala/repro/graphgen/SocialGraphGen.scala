@@ -94,7 +94,7 @@ object SocialGraphGen {
       val probs = new Array[Double](spec.numTopics)
       var t = 0
       while (t < spec.topicsPerEdge) {
-        val z = HashRng.uniformInt(spec.numTopics, HashRng.mix(seed, TagTopic, s, d), t.toLong)
+        val z = HashRng.uniformLong(spec.numTopics, HashRng.mix(seed, TagTopic, s, d), t.toLong).toInt
         val jitter = 0.5 + HashRng.uniform(seed, TagJitter, s, d, t.toLong)
         val p = math.min(1.0, spec.wcScale * jitter / indeg.toDouble)
         if (p > probs(z)) probs(z) = p

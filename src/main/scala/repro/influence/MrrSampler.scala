@@ -98,10 +98,12 @@ object MrrSampler {
         .sortBy(_._1)
       val numTopics = rows.headOption.fold(-1)(_._3)
       val inOff = new Array[Int](n.toInt + 1)
-      rows.foreach { case (dst, src, arity, _, _) =>
+      rows.foreach { case (dst, src, arity, topics, ps) =>
         require(dst >= 0 && dst < n, s"edge endpoint $dst out of [0, $n)")
         require(src >= 0 && src < n, s"edge endpoint $src out of [0, $n)")
         require(arity == numTopics, s"edge $src→$dst carries $arity topics, others $numTopics")
+        for (k <- ps.indices)
+          require(ps(k) > 0 && ps(k) <= 1, s"edge $src→$dst has p(e|z=${topics(k)}) = ${ps(k)}, outside (0, 1]")
         inOff(dst.toInt + 1) += 1
       }
       var v = 0
@@ -128,7 +130,8 @@ object MrrSampler {
 
   /** Samples partitioned across the cluster; each task runs a local reverse
     * BFS per (sample, piece) over the cached reverse topic-CSR of `edges`.
-    * Edges with `p ≤ 0` are never live. Edge endpoints outside `[0, n)` and
+    * Edges with `p ≤ 0` are never live. Edge endpoints outside `[0, n)`, a
+    * non-zero topic probability p(e|z) outside (0, 1] (NaN included) and
     * pieces whose topic arity differs from the edges' raise an
     * `IllegalArgumentException` on the driver, before sampling starts, and
     * so does an empty piece list.

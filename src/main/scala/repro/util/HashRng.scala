@@ -54,12 +54,6 @@ object HashRng {
   def uniform(a: Long, b: Long, c: Long, d: Long, e: Long, f: Long): Double =
     toUniform(mix(a, b, c, d, e, f))
 
-  /** Uniform integer in [0, n). */
-  def uniformInt(n: Int, a: Long, b: Long): Int = {
-    require(n > 0, s"uniformInt bound must be positive, got $n")
-    (uniform(a, b) * n).toInt.min(n - 1)
-  }
-
   /** Uniform long in [0, n). */
   def uniformLong(n: Long, a: Long, b: Long): Long = {
     require(n > 0, s"uniformLong bound must be positive, got $n")

@@ -115,6 +115,12 @@ class AuEvaluatorSpec extends SparkSpec {
       idx.promoters, (0 until idx.candidateCount).map(idx.coverage).toArray)
     val plan = somePlan(4)
     assert(math.abs(doubled.auOfPlan(plan, params) - 2 * idx.auOfPlan(plan, params)) < 1e-9)
+    val noSamples = intercept[IllegalArgumentException](
+      AuEvaluator.dataFrame(spark, mrr, plan, params, Datasets.mini.nVertices, 0)).getMessage
+    assert(noSamples.contains("theta must be at least 1, got 0"), noSamples)
+    val noVertices = intercept[IllegalArgumentException](
+      AuEvaluator.dataFrame(spark, mrr, plan, params, -5L, theta)).getMessage
+    assert(noVertices.contains("nVertices must be at least 1, got -5"), noVertices)
   }
 
   test("CoverageIndex.build keeps promoter rows and rejects out-of-range samples and pieces") {

@@ -128,6 +128,8 @@ class CoverageIndexSpec extends AnyFunSuite {
     assert(noSamples.getMessage.contains("theta must be at least 1, got 0"), noSamples.getMessage)
     val noPieces = intercept[IllegalArgumentException](new CoverageIndex(4, 0, 8, Array(10L), Array.empty))
     assert(noPieces.getMessage.contains("ell must be at least 1, got 0"), noPieces.getMessage)
+    val noVertices = intercept[IllegalArgumentException](new CoverageIndex(4, 1, 0, Array.empty, Array.empty))
+    assert(noVertices.getMessage.contains("nVertices must be at least 1, got 0"), noVertices.getMessage)
   }
 
   test("an unsorted or duplicated promoter pool is rejected") {

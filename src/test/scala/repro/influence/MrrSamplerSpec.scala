@@ -110,6 +110,18 @@ class MrrSamplerSpec extends SparkSpec {
       MrrSampler.sampleBroadcast(spark, exampleDf, Int.MaxValue.toLong, ExampleGraphs.pieces, cfg))
   }
 
+  test("a topic probability outside (0, 1] is rejected on the driver") {
+    val cfg = MrrConfig(theta = 40, seed = 21L)
+    for (bad <- Seq(Double.NaN, -0.1, 1.5)) {
+      val edges = ExampleGraphs.edges.updated(0, ExampleGraphs.edges(0).copy(probs = Array(bad, 0.0)))
+      val e = intercept[IllegalArgumentException](
+        MrrSampler.sampleBroadcast(spark, TopicGraph.fromEdges(spark, edges), 5, ExampleGraphs.pieces, cfg))
+      assert(e.getMessage.contains(s"edge 0→1 has p(e|z=0) = $bad"), e.getMessage)
+    }
+    assert(rows(MrrSampler.sampleBroadcast(spark, exampleDf, 5, ExampleGraphs.pieces, cfg)) ==
+      RrReference.rows(exampleDf, 5, ExampleGraphs.pieces, cfg))
+  }
+
   test("a piece of the wrong topic arity is rejected on the driver") {
     val cfg = MrrConfig(theta = 10, seed = 23L)
     val e = intercept[IllegalArgumentException](

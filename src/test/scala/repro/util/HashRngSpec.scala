@@ -62,16 +62,16 @@ class HashRngSpec extends AnyFunSuite {
     assert(math.abs(sumProd / n) < 0.01)
   }
 
-  test("uniformInt stays in range for extreme inputs") {
+  test("uniformLong stays in range for extreme inputs at bound 7") {
     for (a <- probe; b <- probe) {
-      val v = HashRng.uniformInt(7, a, b)
+      val v = HashRng.uniformLong(7, a, b)
       assert(v >= 0 && v < 7)
     }
   }
 
-  test("uniformInt covers all values") {
-    val seen = (0 until 1000).map(i => HashRng.uniformInt(5, 1L, i.toLong)).toSet
-    assert(seen == Set(0, 1, 2, 3, 4))
+  test("uniformLong covers all values at bound 5") {
+    val seen = (0 until 1000).map(i => HashRng.uniformLong(5, 1L, i.toLong)).toSet
+    assert(seen == Set(0L, 1L, 2L, 3L, 4L))
   }
 
   test("uniformLong stays in range and covers values") {
@@ -80,8 +80,8 @@ class HashRngSpec extends AnyFunSuite {
     assert(vs.toSet == Set(0L, 1L, 2L, 3L))
   }
 
-  test("uniformInt rejects non-positive bound") {
-    intercept[IllegalArgumentException](HashRng.uniformInt(0, 1L, 2L))
+  test("uniformLong rejects an Int bound of 0") {
+    intercept[IllegalArgumentException](HashRng.uniformLong(0, 1L, 2L))
   }
 
   test("uniformLong rejects non-positive bound") {
