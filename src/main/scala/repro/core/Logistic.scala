@@ -36,7 +36,4 @@ object Logistic {
   def sigmoid(x: Double): Double =
     if (x >= 0) 1.0 / (1.0 + math.exp(-x))
     else { val e = math.exp(x); e / (1.0 + e) }
-
-  /** Derivative of the sigmoid: f'(x) = f(x)(1 − f(x)). */
-  def sigmoidDeriv(x: Double): Double = { val f = sigmoid(x); f * (1.0 - f) }
 }

@@ -31,13 +31,13 @@ class LogisticSpec extends AnyFunSuite {
     for (x <- Seq(-3.0, -0.5, 0.0, 1.0, 4.0)) {
       val h = 1e-6
       val numeric = (Logistic.sigmoid(x + h) - Logistic.sigmoid(x - h)) / (2 * h)
-      assert(math.abs(Logistic.sigmoidDeriv(x) - numeric) < 1e-6)
+      assert(math.abs(TangentBound.sigmoidDeriv(x) - numeric) < 1e-6)
     }
   }
 
   test("sigmoidDeriv peaks at 1/4") {
-    assert(math.abs(Logistic.sigmoidDeriv(0.0) - 0.25) < 1e-12)
-    assert(Logistic.sigmoidDeriv(2.0) < 0.25)
+    assert(math.abs(TangentBound.sigmoidDeriv(0.0) - 0.25) < 1e-12)
+    assert(TangentBound.sigmoidDeriv(2.0) < 0.25)
   }
 
   test("adoption probability is zero with no pieces received (Eqn 1)") {

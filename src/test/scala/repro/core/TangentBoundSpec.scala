@@ -21,7 +21,7 @@ class TangentBoundSpec extends AnyFunSuite {
 
   test("tangentPoint inverts the sigmoid derivative") {
     for (t <- Seq(0.5, 1.0, 2.0, 5.0)) {
-      val w = Logistic.sigmoidDeriv(t)
+      val w = TangentBound.sigmoidDeriv(t)
       assert(math.abs(TangentBound.tangentPoint(w) - t) < 1e-9, s"t=$t")
     }
   }
@@ -36,7 +36,7 @@ class TangentBoundSpec extends AnyFunSuite {
       val t = TangentBound.tangentPoint(w)
       val lineAtT = sigmoid(x0) + w * (t - x0)
       assert(math.abs(lineAtT - sigmoid(t)) < 1e-6, s"x0=$x0: line=$lineAtT f=${sigmoid(t)}")
-      assert(math.abs(w - Logistic.sigmoidDeriv(t)) < 1e-6)
+      assert(math.abs(w - TangentBound.sigmoidDeriv(t)) < 1e-6)
     }
   }
 

@@ -1,5 +1,8 @@
 package repro.influence
 
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{ArrayType, DoubleType, LongType, StructField, StructType}
 import repro.SparkSpec
 import repro.graphgen.{Datasets, SocialGraphGen}
 import repro.influence.MrrSampler.MrrConfig
@@ -7,11 +10,28 @@ import repro.testkit.{ExampleGraphs, RrReference}
 
 class MrrSamplerSpec extends SparkSpec {
 
-  private def rows(df: org.apache.spark.sql.DataFrame): Set[(Int, Int, Long)] =
+  private def rows(df: DataFrame): Set[(Int, Int, Long)] =
     df.select("sample", "piece", "v").collect()
       .map(r => (r.getInt(0), r.getInt(1), r.getLong(2))).toSet
 
   private lazy val exampleDf = TopicGraph.fromEdges(spark, ExampleGraphs.edges)
+
+  /** An edge frame of nullable columns, for rows `fromEdges` cannot hold,
+    * in `slices` partitions as `parallelize` cuts them.
+    */
+  private def nullableEdges(edges: Seq[(Any, Any, Any)], slices: Int = 1): DataFrame =
+    spark.createDataFrame(
+      spark.sparkContext.parallelize(edges.map { case (s, d, ps) => Row(s, d, ps) }, slices),
+      StructType(Seq(
+        StructField("src", LongType), StructField("dst", LongType),
+        StructField("probs", ArrayType(DoubleType, containsNull = true)))))
+
+  private def exampleTuples: Seq[(Any, Any, Any)] =
+    ExampleGraphs.edges.map(e => (e.src, e.dst, e.probs.toSeq))
+
+  private def rejected(edges: DataFrame): String =
+    intercept[IllegalArgumentException](MrrSampler.sampleBroadcast(
+      spark, edges, 5, ExampleGraphs.pieces, MrrConfig(theta = 40, seed = 41L))).getMessage
 
   test("roots are uniform over V and deterministic") {
     val n = 1000L
@@ -164,5 +184,52 @@ class MrrSamplerSpec extends SparkSpec {
       assert(rows(MrrSampler.sampleBroadcast(spark, mini, Datasets.mini.nVertices, pieces, cfg)) ==
         RrReference.rows(mini, Datasets.mini.nVertices, pieces, cfg), s"seed=${cfg.seed}")
     }
+  }
+
+  test("a missing or mistyped edge column is rejected, naming it") {
+    assert(rejected(exampleDf.drop("probs")) ==
+      "requirement failed: column probs must be array<double>, got no such column")
+    assert(rejected(exampleDf.withColumn("src", col("src").cast("int"))) ==
+      "requirement failed: column src must be bigint, got int")
+    assert(rejected(exampleDf.withColumn("dst", col("dst").cast("double"))) ==
+      "requirement failed: column dst must be bigint, got double")
+    assert(rejected(exampleDf.withColumn("probs", col("probs").cast("array<float>"))) ==
+      "requirement failed: column probs must be array<double>, got array<float>")
+  }
+
+  test("a null edge value is rejected on the driver, naming the edge") {
+    val cases = Seq[((Any, Any, Any), String)](
+      (null, 1L, Seq(1.0, 0.0)) -> "edge null→1 has a null endpoint",
+      (0L, null, Seq(1.0, 0.0)) -> "edge 0→null has a null endpoint",
+      (0L, 1L, null) -> "edge 0→1 has null probs",
+      (0L, 1L, Seq(null, 0.0)) -> "edge 0→1 has p(e|z=0) = null")
+    for ((edge, msg) <- cases)
+      assert(rejected(nullableEdges(exampleTuples.updated(0, edge))) == msg)
+    // Nullable columns without a null are accepted.
+    val cfg = MrrConfig(theta = 60, seed = 43L)
+    assert(rows(MrrSampler.sampleBroadcast(spark, nullableEdges(exampleTuples), 5, ExampleGraphs.pieces, cfg)) ==
+      RrReference.rows(exampleDf, 5, ExampleGraphs.pieces, cfg))
+  }
+
+  test("mixed topic arity across edges is rejected on the driver") {
+    val mixed = nullableEdges(exampleTuples.updated(5, (ExampleGraphs.C, ExampleGraphs.B, Seq(0.0, 1.0, 0.5))))
+    val msg = rejected(mixed)
+    assert(msg.contains("edge 2→1 carries 3 topics, others 2"), msg)
+  }
+
+  test("an empty edge table yields singleton RR sets") {
+    val empty = nullableEdges(Seq.empty)
+    val cfg = MrrConfig(theta = 30, seed = 45L)
+    val out = rows(MrrSampler.sampleBroadcast(spark, empty, 5, ExampleGraphs.pieces, cfg))
+    assert(out == (for (s <- 0 until 30; j <- 0 until 2) yield (s, j, MrrSampler.rootOf(s, 5, cfg.seed))).toSet)
+  }
+
+  test("edges over 8 partitions, some empty, give the reference RR sets") {
+    val spread = nullableEdges(exampleTuples, slices = 8)
+    val sizes = spread.queryExecution.toRdd.mapPartitions(it => Iterator.single(it.size)).collect()
+    assert(sizes.toSeq == Seq(0, 1, 1, 1, 0, 1, 1, 1), sizes.toSeq)
+    val cfg = MrrConfig(theta = 60, seed = 47L)
+    assert(rows(MrrSampler.sampleBroadcast(spark, spread, 5, ExampleGraphs.pieces, cfg)) ==
+      RrReference.rows(exampleDf, 5, ExampleGraphs.pieces, cfg))
   }
 }
