@@ -80,6 +80,10 @@ class HashRngSpec extends AnyFunSuite {
     assert(vs.toSet == Set(0L, 1L, 2L, 3L))
   }
 
+  test("uniformLong rejects an Int bound of 0") {
+    intercept[IllegalArgumentException](HashRng.uniformLong(0, 1L, 2L))
+  }
+
   test("uniformLong rejects non-positive bound") {
     for (bound <- Seq(0L, -1L, Long.MinValue))
       intercept[IllegalArgumentException](HashRng.uniformLong(bound, 1L, 2L))
