@@ -28,8 +28,6 @@ class BenchBoundScale extends BenchBase {
 
     override def idx: CoverageIndex = inner.idx
 
-    override def order: Array[Int] = inner.order
-
     override def tauEvals: Long = inner.tauEvals
 
     override def computeBound(base: Array[Int], freeFrom: Int, k: Int): BoundResult = {

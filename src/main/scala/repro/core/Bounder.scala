@@ -7,9 +7,9 @@ package repro.core
   */
 final case class BoundResult(complete: Array[Int], sigma: Double, tau: Double)
 
-/** Upper-bound estimators share the search's fixed candidate ordering: a heap
-  * node is `(included candidates, next undecided position)`, and ComputeBound
-  * may only pick from positions ≥ `freeFrom` (the paper's remaining Vp).
+/** Upper-bound estimators share the search's order, the index's `scanOrder`:
+  * a heap node is `(included candidates, next undecided position)`, and
+  * ComputeBound may only pick from positions ≥ `freeFrom` (remaining Vp).
   */
 trait Bounder {
 
@@ -17,7 +17,7 @@ trait Bounder {
   def idx: CoverageIndex
 
   /** Fixed candidate ordering shared with the branch-and-bound search. */
-  def order: Array[Int]
+  def order: Array[Int] = idx.scanOrder
 
   /** Estimate the bound for the subspace rooted at (`base`, `freeFrom`). */
   def computeBound(base: Array[Int], freeFrom: Int, k: Int): BoundResult
@@ -26,16 +26,14 @@ trait Bounder {
   def tauEvals: Long
 }
 
-/** The ComputeBound kernel both bounders are built on: the candidates in
-  * scan order, the per-call scratch state and the τ-evaluation counter.
+/** The ComputeBound kernel both bounders are built on: the per-call scratch
+  * state and the τ-evaluation counter over the index's scan layout.
   * Subclasses add only their selection rule. Not thread-safe; a bounder
   * serves one call at a time.
   *
-  * Layout, built once from `order`: position `p` holds candidate `order(p)`
-  * and its piece `piece(p)`; `posOf` maps a candidate back to its position.
-  * The scan reads `idx.coverage(order(p))` in place and never writes it.
-  * `order` must list distinct candidates of the index, and `env` must be the
-  * table of the index's ℓ and of `params`.
+  * The scan reads the index's layout (`cand`, `piece`, `posOf`) and
+  * `idx.coverage(cand(p))` in place and never writes them. `order` must be
+  * the index's scan order, and `env` the table of its ℓ and of `params`.
   *
   * Scratch state, all zero between calls:
   *   - `key(s) = anchor·(ℓ+1) + count` for sample `s`, where `anchor` is the
@@ -56,39 +54,23 @@ trait Bounder {
 sealed abstract class KernelBounder(
     val idx: CoverageIndex,
     val env: EnvelopeTable,
-    val order: Array[Int],
+    order: Array[Int],
     params: LogisticParams) extends Bounder {
 
+  require(java.util.Arrays.equals(order, idx.scanOrder),
+    "order must be the index's scan order, CoverageIndex.scanOrder (BranchAndBound.defaultOrder returns it)")
   require(env.ell == idx.ell, s"envelope table is for ℓ=${env.ell}, the index has ℓ=${idx.ell}")
   require(env.params == params, s"envelope table is for ${env.params}, the bounder for $params")
 
   private val ell = idx.ell
   private val stride = ell + 1
-  private val nCand = idx.candidateCount
   private val gains = env.gains
   private val adopt = Array.tabulate(stride)(params.adoptionProb)
 
-  protected final val size: Int = order.length
-  protected final val posOf: Array[Int] = new Array[Int](nCand)
-  private val piece = new Array[Int](size)
-  layout()
-
-  /** Fills `posOf` and `piece`. A method, not constructor code: on JDK 17 the
-    * same loop in the constructor body stayed interpreted, about 20× slower
-    * on a 50 000-candidate index.
-    */
-  private def layout(): Unit = {
-    java.util.Arrays.fill(posOf, -1)
-    var p = 0
-    while (p < size) {
-      val c = order(p)
-      if (c < 0 || c >= nCand || posOf(c) >= 0)
-        throw new IllegalArgumentException(s"order entry $c at position $p is out of [0, $nCand) or repeated")
-      posOf(c) = p
-      piece(p) = idx.pieceOf(c)
-      p += 1
-    }
-  }
+  protected final val cand: Array[Int] = idx.scanOrder
+  protected final val posOf: Array[Int] = idx.scanPosition
+  private val piece = idx.scanPiece
+  protected final val size: Int = cand.length
 
   private val key = new Array[Int](idx.theta)
   private val cells = new Array[Long](((idx.theta.toLong * ell + 63) >> 6).toInt)
@@ -110,7 +92,7 @@ sealed abstract class KernelBounder(
     */
   protected final def begin(base: Array[Int], freeFrom: Int): Unit = {
     require(freeFrom >= 0 && freeFrom <= size, s"freeFrom $freeFrom out of [0, $size]")
-    for (c <- base) require(c >= 0 && c < nCand, s"base candidate $c out of [0, $nCand)")
+    for (c <- base) require(c >= 0 && c < size, s"base candidate $c out of [0, $size)")
     for (c <- base) cover(idx.coverage(c), idx.pieceOf(c), stride + 1)
     var t = 0.0
     var w = 0
@@ -128,7 +110,7 @@ sealed abstract class KernelBounder(
   /** Marginal τ gain of adding the candidate at position `p` right now. */
   protected final def gainAt(p: Int): Double = {
     val pc = piece(p)
-    val list = idx.coverage(order(p))
+    val list = idx.coverage(cand(p))
     var g = 0.0
     var i = 0
     while (i < list.length) {
@@ -164,7 +146,7 @@ sealed abstract class KernelBounder(
 
   /** Commits the candidate at position `p` into the selection. */
   protected final def select(p: Int): Unit = {
-    tauRaw += cover(idx.coverage(order(p)), piece(p), 1)
+    tauRaw += cover(idx.coverage(cand(p)), piece(p), 1)
     taken(p) = true
     picked(nPicked) = p
     nPicked += 1
@@ -180,7 +162,7 @@ sealed abstract class KernelBounder(
     val complete = java.util.Arrays.copyOf(base, base.length + nPicked)
     var i = 0
     while (i < nPicked) {
-      complete(base.length + i) = order(picked(i))
+      complete(base.length + i) = cand(picked(i))
       taken(picked(i)) = false
       i += 1
     }
@@ -225,7 +207,7 @@ final class GreedyBounder(
   override def computeBound(base: Array[Int], freeFrom: Int, k: Int): BoundResult = {
     begin(base, freeFrom)
     val kPrime = k - base.length
-    val cand = this.order
+    val cand = this.cand
     val taken = this.taken
     var scanned = 0L
     var done = false
@@ -307,7 +289,7 @@ final class ProgressiveBounder(
     while (p < size) {
       if (delta0(p) > 0) {
         val rank = nDistinct - 1 - java.util.Arrays.binarySearch(distinct, 0, nDistinct, delta0(p))
-        keys(i) = rank.toLong << 32 | this.order(p)
+        keys(i) = rank.toLong << 32 | cand(p)
         i += 1
       }
       p += 1

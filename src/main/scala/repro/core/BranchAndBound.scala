@@ -36,40 +36,31 @@ final case class BabResult(
 /** Branch-and-bound framework for OIPA (Algorithm 1).
   *
   * Candidates — (promoter, piece) assignments — are ordered by individual
-  * influence (RR coverage, descending) so high-influence promoters are
-  * branched first, per the paper's power-law prioritization. A heap node
-  * fixes a decision prefix: `included` holds the candidates taken among the
-  * first `nextIdx` positions; all positions ≥ `nextIdx` are undecided.
+  * influence (RR coverage, descending: the index's `scanOrder`) so
+  * high-influence promoters are branched first, per the paper's power-law
+  * prioritization. A heap node fixes a decision prefix: `included` holds the
+  * candidates taken among the first `nextIdx` positions; all positions
+  * ≥ `nextIdx` are undecided.
   * Expanding a node branches on position `nextIdx` (include / exclude) and
   * scores both children with the supplied [[Bounder]]; a child is enqueued
   * only while its bound exceeds the best utility found (pruning).
   */
 object BranchAndBound {
 
-  /** Candidate ordering: RR-coverage size descending, index ascending. The
-    * individual τ gain at the root is `|coverage|·envGain(0,0)`, so this *is*
-    * the individual-influence order. Sorted as one packed `Long` key per
-    * candidate, `(Int.MaxValue − |coverage|) << 32 | c`, without boxing.
-    */
-  def defaultOrder(idx: CoverageIndex): Array[Int] = {
-    val keys = Array.tabulate(idx.candidateCount) { c =>
-      (Int.MaxValue - idx.coverage(c).length).toLong << 32 | c
-    }
-    java.util.Arrays.sort(keys)
-    keys.map(_.toInt)
-  }
+  /** The index's own scan order, [[CoverageIndex.scanOrder]]: one array per index. */
+  def defaultOrder(idx: CoverageIndex): Array[Int] = idx.scanOrder
 
-  /** Algorithm 1 over `idx`. The bounder must be built over `idx` itself: its
-    * candidates are read back as vertices through `idx.toPlan`. `params` is
-    * not read; it stays for the benchmark's call sites. Both children of an
-    * expansion take one step, `child`: bound, raise the incumbent, and enqueue
-    * while τ beats the incumbent and the child can still branch.
+  /** Algorithm 1 over `idx`, branching in `idx.scanOrder`. The bounder must be
+    * built over `idx` itself: its candidates are read back as vertices through
+    * `idx.toPlan`. `params` is not read; the benchmark calls this form. Both
+    * children of an expansion take one step, `child`: bound, raise the
+    * incumbent, and enqueue while τ beats the incumbent and it can branch.
     */
-  def run(idx: CoverageIndex, params: LogisticParams, bounder: Bounder, cfg: BabConfig): BabResult = {
+  def run(idx: CoverageIndex, @scala.annotation.unused params: LogisticParams, bounder: Bounder, cfg: BabConfig): BabResult = {
     require(bounder.idx eq idx,
       s"the bounder's index (θ=${bounder.idx.theta}, ℓ=${bounder.idx.ell}, ${bounder.idx.candidateCount} candidates) " +
         s"is not the search's (θ=${idx.theta}, ℓ=${idx.ell}, ${idx.candidateCount} candidates)")
-    val order = bounder.order
+    val order = idx.scanOrder
     val evals0 = bounder.tauEvals
 
     var calls = 0

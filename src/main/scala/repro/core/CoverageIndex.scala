@@ -15,6 +15,10 @@ import scala.collection.mutable
   * cells. Cells are indexed `sample * ell + piece` in an `Int`, so
   * `theta * ell` must not exceed `Int.MaxValue`.
   *
+  * The index owns the scan layout Algorithm 1 and ComputeBound share, built
+  * once on first use (a `takePieces` view that only IM/TIM query never builds
+  * it) and read in place like `coverage(c)`: callers must not write it.
+  *
   * @param theta     number of MRR samples drawn, at least 1
   * @param ell       number of viral pieces, at least 1
   * @param nVertices |V| of the underlying graph (estimator scale n/θ), ≥ 1
@@ -53,6 +57,26 @@ final class CoverageIndex(
 
   /** Sorted sample ids covered by candidate `c`. */
   def coverage(c: Int): Array[Int] = cov(c)
+
+  /** Scan order: RR-coverage size descending, i.e. individual influence (the
+    * root τ gain is `|coverage|·envGain(0,0)`), then candidate ascending.
+    * Sorted as one unboxed key `(Int.MaxValue − |coverage|) << 32 | c` each.
+    */
+  lazy val scanOrder: Array[Int] = {
+    val keys = Array.tabulate(candidateCount)(c => (Int.MaxValue - cov(c).length).toLong << 32 | c)
+    java.util.Arrays.sort(keys)
+    keys.map(_.toInt)
+  }
+
+  /** The piece at each scan position. */
+  lazy val scanPiece: Array[Int] = scanOrder.map(pieceOf)
+
+  /** The scan position of each candidate. */
+  lazy val scanPosition: Array[Int] = {
+    val pos = new Array[Int](candidateCount)
+    for (p <- scanOrder.indices) pos(scanOrder(p)) = p
+    pos
+  }
 
   /** Estimator scale n/θ (Eqn 6). */
   def scale: Double = nVertices.toDouble / theta

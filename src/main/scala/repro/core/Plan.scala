@@ -15,18 +15,6 @@ final case class Plan(seedSets: Vector[Set[Long]]) {
   /** Budget consumed: Σⱼ |Sⱼ|. */
   def size: Int = seedSets.iterator.map(_.size).sum
 
-  /** Containment per Definition 2: Sⱼ ⊆ S'ⱼ for every piece. */
-  def containedIn(other: Plan): Boolean = {
-    require(other.ell == ell, s"plan arity mismatch: $ell vs ${other.ell}")
-    seedSets.iterator.zip(other.seedSets.iterator).forall { case (a, b) => a.subsetOf(b) }
-  }
-
-  /** Union per Definition 3. */
-  def union(other: Plan): Plan = {
-    require(other.ell == ell, s"plan arity mismatch: $ell vs ${other.ell}")
-    Plan(seedSets.zip(other.seedSets).map { case (a, b) => a ++ b })
-  }
-
   /** i-union per Definition 4: add seed set `s` to piece `i` only. */
   def iUnion(i: Int, s: Set[Long]): Plan = {
     require(i >= 0 && i < ell, s"piece index $i out of [0, $ell)")
@@ -53,10 +41,6 @@ object Plan {
     require(ell > 0, s"a campaign needs at least one piece, got $ell")
     Plan(Vector.fill(ell)(Set.empty[Long]))
   }
-
-  /** A plan that assigns `seeds` to piece `j` only (baseline shape). */
-  def singlePiece(ell: Int, j: Int, seeds: Set[Long]): Plan =
-    empty(ell).iUnion(j, seeds)
 
   /** Build from (promoter, piece) assignment pairs. */
   def fromAssignments(ell: Int, as: Iterable[(Long, Int)]): Plan =

@@ -146,10 +146,5 @@ object Datasets {
     name = "tweet", nVertices = 100000, targetEdges = 120000,
     numTopics = 50, topicsPerEdge = 2, wcScale = 1.0, seed = 13L)
 
-  /** Small profile for integration tests. */
-  val mini: GraphSpec = GraphSpec(
-    name = "mini", nVertices = 300, targetEdges = 1800,
-    numTopics = 5, topicsPerEdge = 2, wcScale = 2.0, seed = 3L)
-
   val all: Seq[GraphSpec] = Seq(lastfmLike, dblpLike, tweetLike)
 }

@@ -76,8 +76,8 @@ object MrrSampler {
       val prob: Array[Double]) extends Serializable {
 
     /** p(t, e) = min(1, Σ w(z)·p(e|z)) over the edge's non-zero topics, in
-      * ascending topic order: bit-identical to [[Piece.edgeProb]] on the
-      * dense vector, whose zero terms only add +0.0.
+      * ascending topic order: bit-identical to the same sum over the dense
+      * vector (the tests' `TopicGraph.edgeProb`), whose zero terms only add +0.0.
       */
     def edgeProb(e: Int, w: Array[Double]): Double = {
       var s = 0.0

@@ -11,16 +11,6 @@ final case class Piece(weights: Array[Double]) {
   require(weights.forall(w => w >= 0 && w <= 1), "topic weights must lie in [0,1]")
 
   def numTopics: Int = weights.length
-
-  /** p(t, e) = t · p(e): the piece's activation probability through an edge. */
-  def edgeProb(edgeProbs: Array[Double]): Double = {
-    require(edgeProbs.length == weights.length,
-      s"topic arity mismatch: edge=${edgeProbs.length}, piece=${weights.length}")
-    var s = 0.0
-    var z = 0
-    while (z < weights.length) { s += weights(z) * edgeProbs(z); z += 1 }
-    math.min(1.0, s)
-  }
 }
 
 object Piece {

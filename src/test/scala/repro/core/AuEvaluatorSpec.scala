@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.graphgen.{Datasets, SocialGraphGen}
+import repro.graphgen.{SocialGraphGen, TestDatasets}
 import repro.influence.{MrrSampler, Piece, TopicGraph}
 import repro.influence.MrrSampler.MrrConfig
 import repro.testkit.ExampleGraphs
@@ -11,14 +11,14 @@ class AuEvaluatorSpec extends SparkSpec {
 
   private val params = LogisticParams(3.0, 1.0)
   private val theta = 400
-  private lazy val miniEdges = SocialGraphGen.generate(spark, Datasets.mini).cache()
+  private lazy val miniEdges = SocialGraphGen.generate(spark, TestDatasets.mini).cache()
   private lazy val pieces = Seq(Piece.oneHot(0, 5), Piece.oneHot(2, 5), Piece.oneHot(4, 5))
   private lazy val mrr = MrrSampler
-    .sampleBroadcast(spark, miniEdges, Datasets.mini.nVertices, pieces, MrrConfig(theta, seed = 21L))
+    .sampleBroadcast(spark, miniEdges, TestDatasets.mini.nVertices, pieces, MrrConfig(theta, seed = 21L))
     .cache()
-  private lazy val promoters = SocialGraphGen.promoters(Datasets.mini)
+  private lazy val promoters = SocialGraphGen.promoters(TestDatasets.mini)
   private lazy val idx =
-    CoverageIndex.build(mrr, theta, pieces.length, Datasets.mini.nVertices, promoters)
+    CoverageIndex.build(mrr, theta, pieces.length, TestDatasets.mini.nVertices, promoters)
 
   private def somePlan(nSeeds: Int): Plan = {
     val picks = promoters.take(nSeeds)
@@ -29,7 +29,7 @@ class AuEvaluatorSpec extends SparkSpec {
     for (n <- Seq(1, 3, 6, 10)) {
       val plan = somePlan(n)
       val a = idx.auOfPlan(plan, params)
-      val b = AuEvaluator.evaluate(spark, mrr, plan, params, Datasets.mini.nVertices, theta)
+      val b = AuEvaluator.evaluate(spark, mrr, plan, params, TestDatasets.mini.nVertices, theta)
       assert(math.abs(a - b) < 1e-9, s"n=$n: auOfPlan=$a dataFrame=$b")
     }
   }
@@ -37,7 +37,7 @@ class AuEvaluatorSpec extends SparkSpec {
   test("empty plan evaluates to zero on both paths") {
     val plan = Plan.empty(pieces.length)
     assert(idx.auOfPlan(plan, params) == 0.0)
-    assert(AuEvaluator.evaluate(spark, mrr, plan, params, Datasets.mini.nVertices, theta) == 0.0)
+    assert(AuEvaluator.evaluate(spark, mrr, plan, params, TestDatasets.mini.nVertices, theta) == 0.0)
   }
 
   test("coverage counts match DuckDB (oracle)") {
@@ -59,12 +59,12 @@ class AuEvaluatorSpec extends SparkSpec {
 
   test("the AU aggregate matches DuckDB (oracle)") {
     val plan = somePlan(8)
-    val au = AuEvaluator.dataFrame(spark, mrr, plan, params, Datasets.mini.nVertices, theta)
+    val au = AuEvaluator.dataFrame(spark, mrr, plan, params, TestDatasets.mini.nVertices, theta)
     val planDf = {
       import spark.implicits._
       plan.assignments.map { case (v, j) => (j, v) }.toDF("piece", "v")
     }
-    val n = Datasets.mini.nVertices
+    val n = TestDatasets.mini.nVertices
     Oracle.assertEquivalent(
       au,
       s"""SELECT CAST($n AS DOUBLE) / $theta *
@@ -116,7 +116,7 @@ class AuEvaluatorSpec extends SparkSpec {
     val plan = somePlan(4)
     assert(math.abs(doubled.auOfPlan(plan, params) - 2 * idx.auOfPlan(plan, params)) < 1e-9)
     val noSamples = intercept[IllegalArgumentException](
-      AuEvaluator.dataFrame(spark, mrr, plan, params, Datasets.mini.nVertices, 0)).getMessage
+      AuEvaluator.dataFrame(spark, mrr, plan, params, TestDatasets.mini.nVertices, 0)).getMessage
     assert(noSamples.contains("theta must be at least 1, got 0"), noSamples)
     val noVertices = intercept[IllegalArgumentException](
       AuEvaluator.dataFrame(spark, mrr, plan, params, -5L, theta)).getMessage
@@ -180,7 +180,7 @@ class AuEvaluatorSpec extends SparkSpec {
   test("build is independent of partitioning, duplicates included") {
     val doubled = mrr.union(mrr)
     def build(df: org.apache.spark.sql.DataFrame): CoverageIndex =
-      CoverageIndex.build(df, theta, pieces.length, Datasets.mini.nVertices, promoters)
+      CoverageIndex.build(df, theta, pieces.length, TestDatasets.mini.nVertices, promoters)
     val one = build(doubled.repartition(1))
     val seven = build(doubled.repartition(7))
     assert(sameIndex(one, seven))

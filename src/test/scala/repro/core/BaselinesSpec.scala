@@ -76,7 +76,7 @@ class BaselinesSpec extends AnyFunSuite {
     val perPiece = (0 until 3).map { j =>
       val lists = idx.promoters.indices.map(p => idx.coverage(p * 3 + j))
       val seeds = Baselines.greedyMaxCover(lists, idx.theta, 4).map(idx.promoters(_))
-      idx.auOfPlan(Plan.singlePiece(3, j, seeds.toSet), params)
+      idx.auOfPlan(PlanOps.singlePiece(3, j, seeds.toSet), params)
     }
     assert(math.abs(r.sigma - perPiece.max) < 1e-12)
   }
@@ -92,7 +92,7 @@ class BaselinesSpec extends AnyFunSuite {
     // The chosen piece is at least as good as the alternative with the same seeds.
     val seeds = r.plan.seedSets(r.piece)
     val other = 1 - r.piece
-    assert(r.sigma >= campaign.auOfPlan(Plan.singlePiece(2, other, seeds), params) - 1e-12)
+    assert(r.sigma >= campaign.auOfPlan(PlanOps.singlePiece(2, other, seeds), params) - 1e-12)
   }
 
   /** The plan-level route: each piece's seeds as a single-piece [[Plan]],
@@ -101,7 +101,7 @@ class BaselinesSpec extends AnyFunSuite {
   private def planRoute(idx: CoverageIndex, seedsFor: Int => Array[Int]): Baselines.BaselineResult = {
     var best: Option[Baselines.BaselineResult] = None
     for (j <- 0 until idx.ell) {
-      val plan = Plan.singlePiece(idx.ell, j, seedsFor(j).map(idx.promoters(_)).toSet)
+      val plan = PlanOps.singlePiece(idx.ell, j, seedsFor(j).map(idx.promoters(_)).toSet)
       val sigma = idx.auOfPlan(plan, params)
       if (best.forall(_.sigma < sigma)) best = Some(Baselines.BaselineResult(plan, sigma, j))
     }

@@ -99,8 +99,10 @@ class BounderReferenceSpec extends AnyFunSuite {
 
   test("reused bounders equal the reference bit for bit, call after call") {
     for ((name, idx) <- shapes; (params, pi) <- paramsGrid.zipWithIndex) {
-      // The bounders scan the index's own lists, so none may write them.
+      // The bounders scan the index's own lists and layout, so none may write them.
       val before = Array.tabulate(idx.candidateCount)(c => idx.coverage(c).clone())
+      val layout = Seq(idx.scanOrder, idx.scanPiece, idx.scanPosition)
+      val layoutBefore = layout.map(_.clone())
       val pairs = bounderPairs(idx, params)
       // The greedy and the progressive bounders take turns on one index.
       for (((base, freeFrom, k), i) <- calls(pairs.head._2.order, 31L * pi + idx.ell).zipWithIndex;
@@ -112,6 +114,8 @@ class BounderReferenceSpec extends AnyFunSuite {
       }
       for (c <- 0 until idx.candidateCount)
         assert(idx.coverage(c).sameElements(before(c)), s"$name $params: coverage($c) changed")
+      for ((now, was) <- layout.zip(layoutBefore))
+        assert(now.sameElements(was), s"$name $params: the scan layout changed")
     }
   }
 
@@ -129,14 +133,21 @@ class BounderReferenceSpec extends AnyFunSuite {
     }
   }
 
-  test("a bounder rejects an order that repeats a candidate or leaves the candidate range") {
+  test("a bounder rejects any order but its index's scan order") {
     val idx = sharedCells
     val params = paramsGrid.head
     val env = new EnvelopeTable(params, idx.ell)
-    for (order <- Seq(Array(0, 1, 1), Array(0, -1), Array(0, idx.candidateCount))) {
-      intercept[IllegalArgumentException](new GreedyBounder(idx, env, order, params))
-      intercept[IllegalArgumentException](new ProgressiveBounder(idx, env, order, params, 0.5))
+    val scan = idx.scanOrder
+    val others = Seq(Array(0, 1, 1), Array(0, -1), Array(0, idx.candidateCount), scan.reverse, scan.init)
+    for (order <- others) {
+      val msgs = Seq(
+        intercept[IllegalArgumentException](new GreedyBounder(idx, env, order, params)).getMessage,
+        intercept[IllegalArgumentException](new ProgressiveBounder(idx, env, order, params, 0.5)).getMessage)
+      for (msg <- msgs) assert(msg.contains("CoverageIndex.scanOrder"), msg)
     }
+    // An equal copy is the same order.
+    new GreedyBounder(idx, env, scan.clone(), params)
+    new ProgressiveBounder(idx, env, scan.clone(), params, 0.5)
   }
 
   test("a bounder rejects an envelope table of another ℓ or other logistic parameters") {

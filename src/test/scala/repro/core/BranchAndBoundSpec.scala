@@ -14,6 +14,9 @@ class BranchAndBoundSpec extends AnyFunSuite {
     val idx = SyntheticIndex.random(theta = 50, ell = 2, nPromoters = 6,
       nVertices = 100, density = 0.3, seed = 30L)
     val order = BranchAndBound.defaultOrder(idx)
+    // The index builds its layout once: every caller gets the same array.
+    assert((BranchAndBound.defaultOrder(idx) eq order) && (idx.scanOrder eq order))
+    assert(new GreedyBounder(idx, new EnvelopeTable(params, idx.ell), order, params).order eq order)
     assert(order.toSet == (0 until idx.candidateCount).toSet)
     order.sliding(2).foreach { case Array(a, b) =>
       val (ca, cb) = (idx.coverage(a).length, idx.coverage(b).length)
@@ -29,8 +32,13 @@ class BranchAndBoundSpec extends AnyFunSuite {
       Array.range(0, len).map(i => (c + 97 * i) % theta).distinct.sorted
     }
     val idx = new CoverageIndex(theta, ell, 10000, Array.tabulate(nPromoters)(_.toLong), cov)
-    val reference = (0 until idx.candidateCount).sortBy(c => (-idx.coverage(c).length, c))
-    assert(BranchAndBound.defaultOrder(idx).toSeq == reference)
+    // Each takePieces view has a scan layout of its own.
+    for (view <- idx +: (1 until ell).map(idx.takePieces)) {
+      val reference = (0 until view.candidateCount).sortBy(c => (-view.coverage(c).length, c))
+      assert(BranchAndBound.defaultOrder(view).toSeq == reference, s"l=${view.ell}")
+      assert(view.scanPiece.toSeq == reference.map(view.pieceOf), s"l=${view.ell}")
+      assert(reference.indices.forall(p => view.scanPosition(reference(p)) == p), s"l=${view.ell}")
+    }
   }
 
   test("BAB meets the (1 - 1/e) guarantee against brute force on random instances") {

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.influence.Piece
+import repro.influence.{Piece, TopicGraph}
 import repro.influence.TopicGraph.TopicEdge
 import scala.collection.mutable
 
@@ -80,7 +80,7 @@ object ExactAu {
 
     val q: IndexedSeq[Map[Long, Double]] = pieces.toIndexedSeq.zipWithIndex.map { case (t, j) =>
       val influence = edges
-        .map(e => (e.src, e.dst, t.edgeProb(e.probs)))
+        .map(e => (e.src, e.dst, TopicGraph.edgeProb(t, e.probs)))
         .filter(_._3 > 0)
       activationProbs(influence, vertices, plan.seedSets(j))
     }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.PlanOps.PlanRelations
 
 class PlanSpec extends AnyFunSuite {
 
@@ -56,7 +57,7 @@ class PlanSpec extends AnyFunSuite {
   }
 
   test("singlePiece builds a baseline-shaped plan") {
-    val p = Plan.singlePiece(3, 1, Set(4L, 5L))
+    val p = PlanOps.singlePiece(3, 1, Set(4L, 5L))
     assert(p.seedSets(0).isEmpty && p.seedSets(2).isEmpty)
     assert(p.seedSets(1) == Set(4L, 5L))
     assert(p.size == 2)

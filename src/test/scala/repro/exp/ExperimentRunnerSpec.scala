@@ -2,12 +2,12 @@ package repro.exp
 
 import repro.SparkSpec
 import repro.core.LogisticParams
-import repro.graphgen.Datasets
+import repro.graphgen.TestDatasets
 
 class ExperimentRunnerSpec extends SparkSpec {
 
   private lazy val prep =
-    Experiments.prepare(spark, Datasets.mini, ell = 3, theta = 1500)
+    Experiments.prepare(spark, TestDatasets.mini, ell = 3, theta = 1500)
   private val params = LogisticParams.fromRatio(0.5)
 
   test("pieceVectors produces distinct one-hot pieces") {

@@ -5,7 +5,7 @@ import repro.{Oracle, SparkSpec}
 
 class SocialGraphGenSpec extends SparkSpec {
 
-  private lazy val spec = Datasets.mini
+  private lazy val spec = TestDatasets.mini
   private lazy val edges = SocialGraphGen.generate(spark, spec).cache()
 
   test("generation is deterministic in the spec") {
@@ -112,15 +112,15 @@ class SocialGraphGenSpec extends SparkSpec {
   }
 
   test("spec validation rejects nonsense") {
-    intercept[IllegalArgumentException](Datasets.mini.copy(nVertices = 1))
-    intercept[IllegalArgumentException](Datasets.mini.copy(topicsPerEdge = 99))
-    intercept[IllegalArgumentException](Datasets.mini.copy(numTopics = 0))
+    intercept[IllegalArgumentException](TestDatasets.mini.copy(nVertices = 1))
+    intercept[IllegalArgumentException](TestDatasets.mini.copy(topicsPerEdge = 99))
+    intercept[IllegalArgumentException](TestDatasets.mini.copy(numTopics = 0))
     // limit(targetEdges.toInt) would wrap 5·10⁹ to 705 032 704.
-    val tooMany = intercept[IllegalArgumentException](Datasets.mini.copy(targetEdges = 5000000000L))
+    val tooMany = intercept[IllegalArgumentException](TestDatasets.mini.copy(targetEdges = 5000000000L))
     assert(tooMany.getMessage.contains("5000000000"), tooMany.getMessage)
     // With a NaN or non-positive scale no edge probability would leave zero.
     for (bad <- Seq(Double.NaN, 0.0, -1.0)) {
-      val e = intercept[IllegalArgumentException](Datasets.mini.copy(wcScale = bad))
+      val e = intercept[IllegalArgumentException](TestDatasets.mini.copy(wcScale = bad))
       assert(e.getMessage.contains(s"got $bad"), e.getMessage)
     }
   }

@@ -24,7 +24,7 @@ class ExampleOneSpec extends SparkSpec {
 
   test("per-piece influence graphs match Figure 1 (b) and (c)") {
     def projection(t: Piece): Set[(Long, Long)] =
-      ExampleGraphs.edges.filter(e => t.edgeProb(e.probs) > 0).map(e => (e.src, e.dst)).toSet
+      ExampleGraphs.edges.filter(e => TopicGraph.edgeProb(t, e.probs) > 0).map(e => (e.src, e.dst)).toSet
     val g1 = projection(ExampleGraphs.t1)
     val g2 = projection(ExampleGraphs.t2)
     assert(g1 == Set((0L, 1L), (1L, 2L), (2L, 3L)))

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{ArrayType, DoubleType, LongType, StructField, StructType}
 import repro.SparkSpec
-import repro.graphgen.{Datasets, SocialGraphGen}
+import repro.graphgen.{SocialGraphGen, TestDatasets}
 import repro.influence.MrrSampler.MrrConfig
 import repro.testkit.{ExampleGraphs, RrReference}
 
@@ -62,21 +62,21 @@ class MrrSamplerSpec extends SparkSpec {
   }
 
   test("broadcast sampler equals the live-edge reference on a random graph") {
-    val edges = SocialGraphGen.generate(spark, Datasets.mini)
+    val edges = SocialGraphGen.generate(spark, TestDatasets.mini)
     val pieces = Seq(Piece.oneHot(0, 5), Piece.oneHot(2, 5))
     val cfg = MrrConfig(theta = 150, seed = 9L)
-    val a = RrReference.rows(edges, Datasets.mini.nVertices, pieces, cfg)
-    val b = rows(MrrSampler.sampleBroadcast(spark, edges, Datasets.mini.nVertices, pieces, cfg))
+    val a = RrReference.rows(edges, TestDatasets.mini.nVertices, pieces, cfg)
+    val b = rows(MrrSampler.sampleBroadcast(spark, edges, TestDatasets.mini.nVertices, pieces, cfg))
     assert(a == b, s"reference=${a.size} broadcast=${b.size} symmdiff=${(a diff b) ++ (b diff a)}")
   }
 
   test("every (sample, piece) set contains its root") {
-    val edges = SocialGraphGen.generate(spark, Datasets.mini)
+    val edges = SocialGraphGen.generate(spark, TestDatasets.mini)
     val pieces = Seq(Piece.oneHot(1, 5))
     val cfg = MrrConfig(theta = 100, seed = 11L)
-    val out = rows(MrrSampler.sampleBroadcast(spark, edges, Datasets.mini.nVertices, pieces, cfg))
+    val out = rows(MrrSampler.sampleBroadcast(spark, edges, TestDatasets.mini.nVertices, pieces, cfg))
     (0 until cfg.theta).foreach { s =>
-      val root = MrrSampler.rootOf(s, Datasets.mini.nVertices, cfg.seed)
+      val root = MrrSampler.rootOf(s, TestDatasets.mini.nVertices, cfg.seed)
       assert(out.contains((s, 0, root)))
     }
   }
@@ -150,15 +150,15 @@ class MrrSamplerSpec extends SparkSpec {
   }
 
   test("alternating edge tables never reuse a stale graph") {
-    val mini = SocialGraphGen.generate(spark, Datasets.mini)
+    val mini = SocialGraphGen.generate(spark, TestDatasets.mini)
     val weak = TopicGraph.fromEdges(spark,
       ExampleGraphs.edges.map(e => e.copy(probs = e.probs.map(_ * 0.2))))
     val miniPieces = Seq(Piece.oneHot(0, 5), Piece.oneHot(3, 5))
     val calls = Seq(
-      (mini, Datasets.mini.nVertices, miniPieces, MrrConfig(theta = 100, seed = 25L)),
+      (mini, TestDatasets.mini.nVertices, miniPieces, MrrConfig(theta = 100, seed = 25L)),
       (weak, 5L, ExampleGraphs.pieces, MrrConfig(theta = 300, seed = 27L)),
       (exampleDf, 5L, ExampleGraphs.pieces, MrrConfig(theta = 300, seed = 27L)),
-      (mini, Datasets.mini.nVertices, miniPieces, MrrConfig(theta = 100, seed = 29L)))
+      (mini, TestDatasets.mini.nVertices, miniPieces, MrrConfig(theta = 100, seed = 29L)))
     calls.foreach { case (edges, n, pieces, cfg) =>
       assert(rows(MrrSampler.sampleBroadcast(spark, edges, n, pieces, cfg)) ==
         RrReference.rows(edges, n, pieces, cfg), s"seed=${cfg.seed}")
@@ -166,23 +166,23 @@ class MrrSamplerSpec extends SparkSpec {
   }
 
   test("a lazy result stays valid after another edge table is sampled") {
-    val mini = SocialGraphGen.generate(spark, Datasets.mini)
+    val mini = SocialGraphGen.generate(spark, TestDatasets.mini)
     val cfgA = MrrConfig(theta = 100, seed = 31L)
     val piecesA = Seq(Piece.oneHot(1, 5))
-    val lazyA = MrrSampler.sampleBroadcast(spark, mini, Datasets.mini.nVertices, piecesA, cfgA)
+    val lazyA = MrrSampler.sampleBroadcast(spark, mini, TestDatasets.mini.nVertices, piecesA, cfgA)
     rows(MrrSampler.sampleBroadcast(spark, exampleDf, 5, ExampleGraphs.pieces, MrrConfig(theta = 50, seed = 33L)))
     System.gc()
-    assert(rows(lazyA) == RrReference.rows(mini, Datasets.mini.nVertices, piecesA, cfgA))
+    assert(rows(lazyA) == RrReference.rows(mini, TestDatasets.mini.nVertices, piecesA, cfgA))
   }
 
   test("campaigns on one edge table share its graph and each equal the reference") {
-    val mini = SocialGraphGen.generate(spark, Datasets.mini)
+    val mini = SocialGraphGen.generate(spark, TestDatasets.mini)
     Seq(
       (Seq(Piece.oneHot(4, 5)), MrrConfig(theta = 120, seed = 35L)),
       (Seq(Piece.oneHot(2, 5), Piece.uniformMixture(5)), MrrConfig(theta = 120, seed = 37L)),
     ).foreach { case (pieces, cfg) =>
-      assert(rows(MrrSampler.sampleBroadcast(spark, mini, Datasets.mini.nVertices, pieces, cfg)) ==
-        RrReference.rows(mini, Datasets.mini.nVertices, pieces, cfg), s"seed=${cfg.seed}")
+      assert(rows(MrrSampler.sampleBroadcast(spark, mini, TestDatasets.mini.nVertices, pieces, cfg)) ==
+        RrReference.rows(mini, TestDatasets.mini.nVertices, pieces, cfg), s"seed=${cfg.seed}")
     }
   }
 

@@ -1,7 +1,7 @@
 package repro.sim
 
 import repro.core.{LogisticParams, Plan}
-import repro.influence.Piece
+import repro.influence.{Piece, TopicGraph}
 import repro.influence.TopicGraph.TopicEdge
 import repro.util.HashRng
 
@@ -47,7 +47,7 @@ object ForwardSimulator {
       pieces: Seq[Piece]): IndexedSeq[Map[Long, Array[(Long, Double)]]] =
     pieces.toIndexedSeq.map { t =>
       edges
-        .map(e => (e.src, (e.dst, t.edgeProb(e.probs))))
+        .map(e => (e.src, (e.dst, TopicGraph.edgeProb(t, e.probs))))
         .filter(_._2._2 > 0)
         .groupBy(_._1)
         .map { case (s, es) => s -> es.map(_._2).toArray }
@@ -56,7 +56,6 @@ object ForwardSimulator {
   /** Driver-side estimate of σ(S̄) over `rounds` Monte-Carlo rounds. */
   def sigma(
       edges: Seq[TopicEdge],
-      nVertices: Long,
       pieces: Seq[Piece],
       plan: Plan,
       params: LogisticParams,

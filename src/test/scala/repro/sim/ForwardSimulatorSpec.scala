@@ -2,7 +2,7 @@ package repro.sim
 
 import repro.SparkSpec
 import repro.core.{CoverageIndex, ExactAu, LogisticParams, Plan}
-import repro.graphgen.{Datasets, SocialGraphGen}
+import repro.graphgen.{SocialGraphGen, TestDatasets}
 import repro.influence.{MrrSampler, Piece, TopicGraph}
 import repro.influence.MrrSampler.MrrConfig
 import repro.influence.TopicGraph.TopicEdge
@@ -14,7 +14,7 @@ class ForwardSimulatorSpec extends SparkSpec {
   private val examplePlan = Plan(Vector(Set(ExampleGraphs.A), Set(ExampleGraphs.E)))
 
   test("deterministic graph: one round equals the exact sigma") {
-    val s = ForwardSimulator.sigma(ExampleGraphs.edges, 5, ExampleGraphs.pieces,
+    val s = ForwardSimulator.sigma(ExampleGraphs.edges, ExampleGraphs.pieces,
       examplePlan, params, rounds = 1)
     val exact = ExactAu.sigma(ExampleGraphs.edges, ExampleGraphs.vertices,
       ExampleGraphs.pieces, examplePlan, params)
@@ -22,7 +22,7 @@ class ForwardSimulatorSpec extends SparkSpec {
   }
 
   test("empty plan simulates to zero") {
-    val s = ForwardSimulator.sigma(ExampleGraphs.edges, 5, ExampleGraphs.pieces,
+    val s = ForwardSimulator.sigma(ExampleGraphs.edges, ExampleGraphs.pieces,
       Plan.empty(2), params, rounds = 3)
     assert(s == 0.0)
   }
@@ -38,13 +38,13 @@ class ForwardSimulatorSpec extends SparkSpec {
     val plan = Plan(Vector(Set(0L), Set(3L)))
     val vs = Seq(0L, 1L, 2L, 3L, 4L)
     val exact = ExactAu.sigma(edges, vs, pieces, plan, params)
-    val mc = ForwardSimulator.sigma(edges, 5, pieces, plan, params, rounds = 20000)
+    val mc = ForwardSimulator.sigma(edges, pieces, plan, params, rounds = 20000)
     assert(math.abs(mc - exact) < 0.02, s"mc=$mc exact=$exact")
   }
 
   test("forward simulation cross-validates the MRR estimator on a random graph") {
     // Two estimators that share no code path must agree on the same sigma.
-    val spec = Datasets.mini
+    val spec = TestDatasets.mini
     val edgesDf = SocialGraphGen.generate(spark, spec).cache()
     val edges = TopicGraph.collectEdges(edgesDf)
     val pieces = Seq(Piece.oneHot(0, 5), Piece.oneHot(3, 5))
@@ -56,7 +56,7 @@ class ForwardSimulatorSpec extends SparkSpec {
     val plan = Plan.fromAssignments(2,
       promoters.take(6).zipWithIndex.map { case (v, i) => (v, i % 2) })
     val mrrEst = idx.auOfPlan(plan, params)
-    val fwdEst = ForwardSimulator.sigma(edges, spec.nVertices, pieces,
+    val fwdEst = ForwardSimulator.sigma(edges, pieces,
       plan, params, rounds = 4000)
     val tol = 0.05 * math.max(mrrEst, fwdEst) + 0.05
     assert(math.abs(mrrEst - fwdEst) < tol, s"mrr=$mrrEst forward=$fwdEst")
@@ -65,15 +65,15 @@ class ForwardSimulatorSpec extends SparkSpec {
   test("more seeds never reduce the simulated sigma") {
     val small = Plan(Vector(Set(ExampleGraphs.A), Set.empty[Long]))
     val big = examplePlan
-    val a = ForwardSimulator.sigma(ExampleGraphs.edges, 5, ExampleGraphs.pieces, small, params, 4)
-    val b = ForwardSimulator.sigma(ExampleGraphs.edges, 5, ExampleGraphs.pieces, big, params, 4)
+    val a = ForwardSimulator.sigma(ExampleGraphs.edges, ExampleGraphs.pieces, small, params, 4)
+    val b = ForwardSimulator.sigma(ExampleGraphs.edges, ExampleGraphs.pieces, big, params, 4)
     assert(a <= b)
   }
 
   test("invalid arguments are rejected") {
     intercept[IllegalArgumentException](
-      ForwardSimulator.sigma(ExampleGraphs.edges, 5, ExampleGraphs.pieces, Plan.empty(3), params, 2))
+      ForwardSimulator.sigma(ExampleGraphs.edges, ExampleGraphs.pieces, Plan.empty(3), params, 2))
     intercept[IllegalArgumentException](
-      ForwardSimulator.sigma(ExampleGraphs.edges, 5, ExampleGraphs.pieces, Plan.empty(2), params, 0))
+      ForwardSimulator.sigma(ExampleGraphs.edges, ExampleGraphs.pieces, Plan.empty(2), params, 0))
   }
 }

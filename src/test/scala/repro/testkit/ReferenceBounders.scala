@@ -75,7 +75,7 @@ object ReferenceBounders {
   final class Greedy(
       val idx: CoverageIndex,
       val env: EnvelopeTable,
-      val order: Array[Int],
+      override val order: Array[Int],
       params: LogisticParams) extends Bounder {
 
     private var evals = 0L
@@ -114,7 +114,7 @@ object ReferenceBounders {
   final class Progressive(
       val idx: CoverageIndex,
       val env: EnvelopeTable,
-      val order: Array[Int],
+      override val order: Array[Int],
       params: LogisticParams,
       eps: Double) extends Bounder {
 

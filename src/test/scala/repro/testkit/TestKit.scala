@@ -67,7 +67,7 @@ object RrReference {
       (t, piece) <- pieces.zipWithIndex
       v <- reverseClosure(root) { dst =>
         byDst.getOrElse(dst, Nil).collect {
-          case e if MrrSampler.edgeAlive(sample, piece, e.src, dst, t.edgeProb(e.probs), cfg.seed) => e.src
+          case e if MrrSampler.edgeAlive(sample, piece, e.src, dst, TopicGraph.edgeProb(t, e.probs), cfg.seed) => e.src
         }
       }
     } yield (sample, piece, v)).toSet
