@@ -13,10 +13,10 @@ class BenchDatasetStats extends BenchBase {
       assert(prep.promoters.length > 0.05 * spec.nVertices)
       Seq(spec.name, spec.nVertices.toString, prep.realizedEdges.toString,
         fmt(prep.realizedEdges.toDouble / spec.nVertices), spec.numTopics.toString,
-        BenchConfig.thetaOf(spec).toString, s"${prep.sampleTimeMs} ms")
+        BenchConfig.thetaOf(spec).toString, s"${prep.sampleTimeMs} ms", fmt(prep.cachedEdgesMb))
     }
     report("Table III — dataset statistics",
-      Seq("dataset", "|V|", "|E|", "avg degree", "topics", "theta", "sample time"), rows)
+      Seq("dataset", "|V|", "|E|", "avg degree", "topics", "theta", "sample time", "cached edges (MiB)"), rows)
   }
 
   test("average degrees track the paper's ratios") {

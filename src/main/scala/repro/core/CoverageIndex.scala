@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.types.{IntegerType, LongType}
 import scala.collection.mutable
 
@@ -142,7 +143,7 @@ object CoverageIndex {
   /** Build the index from sampler output `(sample, piece, v)`, keeping only
     * promoter memberships.
     *
-    * One pass over the rows of `mrr.queryExecution.toRdd`, read in place at
+    * One job over the rows of `mrr.queryExecution.toRdd`, read in place at
     * the three columns' ordinals: each task binary-searches `v` in the sorted
     * pool and sends back one `Int` array of `(sample, piece, promoter
     * position)` triples; non-promoter rows never leave the executors. The
@@ -162,14 +163,20 @@ object CoverageIndex {
       ell: Int,
       nVertices: Long,
       promoters: Array[Long]): CoverageIndex = {
-    val pool = promoters.sorted.distinct
+    val pool = {
+      val sorted = promoters.clone()
+      java.util.Arrays.sort(sorted)
+      var end = math.min(1, sorted.length)
+      for (i <- 1 until sorted.length if sorted(i) != sorted(end - 1)) { sorted(end) = sorted(i); end += 1 }
+      java.util.Arrays.copyOf(sorted, end)
+    }
     val Seq(si, pi, vi) = Seq("sample" -> IntegerType, "piece" -> IntegerType, "v" -> LongType).map { case (name, want) =>
       val got = mrr.schema.find(_.name == name).map(_.dataType)
       require(got.contains(want), s"column $name must be ${want.simpleString}, got ${got.fold("no such column")(_.simpleString)}")
       mrr.schema.fieldIndex(name)
     }
-    val triples = mrr.queryExecution.toRdd
-      .mapPartitions { rows =>
+    val triples = mrr.sparkSession.sparkContext.runJob(mrr.queryExecution.toRdd,
+      (rows: Iterator[InternalRow]) => {
         val out = new mutable.ArrayBuilder.ofInt
         rows.foreach { r =>
           if (r.isNullAt(si) || r.isNullAt(pi) || r.isNullAt(vi))
@@ -177,9 +184,8 @@ object CoverageIndex {
           val p = java.util.Arrays.binarySearch(pool, r.getLong(vi))
           if (p >= 0) { out += r.getInt(si); out += r.getInt(pi); out += p }
         }
-        Iterator.single(out.result())
-      }
-      .collect()
+        out.result()
+      })
 
     // Counting sort: off(c) until off(c + 1) is candidate c's slice of flat.
     val nCand = pool.length * ell

@@ -2,6 +2,7 @@ package repro.graphgen
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.influence.MrrSampler
 import repro.util.HashRng
 
 /** Specification of a synthetic topic-aware social graph.
@@ -43,7 +44,8 @@ final case class GraphSpec(
   * Edge probabilities follow the weighted-cascade convention
   * `p(e|z) = min(1, wcScale·jitter / indeg(dst))` on `topicsPerEdge`
   * hash-chosen topics, with a per-(edge, topic) jitter in [0.5, 1.5) so the
-  * per-piece influence graphs differ.
+  * per-piece influence graphs differ. Each edge keeps only its drawn topics
+  * (the sparse topic edge table `MrrSampler` reads).
   */
 object SocialGraphGen {
 
@@ -51,8 +53,8 @@ object SocialGraphGen {
   private val TagSrc = 101L
   private val TagDst = 102L
   private val TagKeep = 103L
-  private val TagTopic = 104L
-  private val TagJitter = 105L
+  private[graphgen] val TagTopic = 104L
+  private[graphgen] val TagJitter = 105L
   private val TagPromoter = 106L
 
   // Power-law skew of the source endpoint (hub strength) and of the
@@ -60,7 +62,11 @@ object SocialGraphGen {
   private val SrcSkew = 2.2
   private val DstSkew = 1.4
 
-  /** Generate the `(src, dst, probs)` edge DataFrame for `spec`. */
+  /** Generate the `(src, dst, topics, probs)` edge DataFrame for `spec`:
+    * `topics` lists the edge's distinct drawn topics ascending, `probs` their
+    * p(e|z) in (0, 1] (a topic drawn twice keeps the larger p), and the
+    * `topics` field carries `spec.numTopics` as `MrrSampler.topicsMetadata`.
+    */
   def generate(spark: SparkSession, spec: GraphSpec): DataFrame = {
     val n = spec.nVertices
     val seed = spec.seed
@@ -90,22 +96,37 @@ object SocialGraphGen {
 
     val indeg = edges.groupBy("dst").agg(count(lit(1)).as("indeg"))
 
-    val mkProbs = udf { (s: Long, d: Long, indeg: Long) =>
-      val probs = new Array[Double](spec.numTopics)
+    // Insertion into the ascending topic list: exactly the non-zero entries
+    // of the dense vector `if (p > probs(z)) probs(z) = p` fills.
+    val mkTopics = udf { (s: Long, d: Long, indeg: Long) =>
+      val topics = new Array[Int](spec.topicsPerEdge)
+      val probs = new Array[Double](spec.topicsPerEdge)
+      var m = 0
       var t = 0
       while (t < spec.topicsPerEdge) {
         val z = HashRng.uniformLong(spec.numTopics, HashRng.mix(seed, TagTopic, s, d), t.toLong).toInt
         val jitter = 0.5 + HashRng.uniform(seed, TagJitter, s, d, t.toLong)
         val p = math.min(1.0, spec.wcScale * jitter / indeg.toDouble)
-        if (p > probs(z)) probs(z) = p
+        var i = 0
+        while (i < m && topics(i) < z) i += 1
+        if (i < m && topics(i) == z) { if (p > probs(i)) probs(i) = p }
+        else {
+          System.arraycopy(topics, i, topics, i + 1, m - i)
+          System.arraycopy(probs, i, probs, i + 1, m - i)
+          topics(i) = z
+          probs(i) = p
+          m += 1
+        }
         t += 1
       }
-      probs.toSeq
+      (java.util.Arrays.copyOf(topics, m), java.util.Arrays.copyOf(probs, m))
     }
 
     edges
       .join(indeg, "dst")
-      .select(col("src"), col("dst"), mkProbs(col("src"), col("dst"), col("indeg")).as("probs"))
+      .select(col("src"), col("dst"), mkTopics(col("src"), col("dst"), col("indeg")).as("t"))
+      .select(col("src"), col("dst"),
+        col("t._1").as("topics", MrrSampler.topicsMetadata(spec.numTopics)), col("t._2").as("probs"))
   }
 
   /** The promoter pool Vp: a deterministic hash-chosen fraction of V (§VI-A

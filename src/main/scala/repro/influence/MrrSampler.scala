@@ -2,9 +2,11 @@ package repro.influence
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{ArrayType, DoubleType, IntegerType, LongType, StructField, StructType}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.types.{ArrayType, DoubleType, IntegerType, LongType, Metadata, MetadataBuilder, StructField, StructType}
 import repro.util.HashRng
 import scala.collection.mutable
+import scala.util.Try
 
 /** Multi-Reverse-Reachable (MRR) set sampling (§V-A).
   *
@@ -29,12 +31,15 @@ import scala.collection.mutable
   * on the `edges` DataFrame's reference identity plus `n`, so every campaign
   * on one edge table reuses it. A call ships only its pieces' weight
   * vectors; the reverse BFS computes `p(t, e)` as a sparse dot over the
-  * edge's non-zero topics at each edge it traverses. A cache miss drops the old broadcast without
+  * edge's topics at each edge it traverses. A cache miss drops the old broadcast without
   * destroying it, because lazy results returned earlier still read it;
   * Spark's ContextCleaner frees it once they are unreachable.
   *
-  * Contract: `edges` has columns `src: long`, `dst: long` and `probs:
-  * array<double>` (see `ReverseTopicCsr.build`), vertex ids are dense in
+  * Contract: `edges` is the sparse topic edge table — columns `src: long`,
+  * `dst: long`, `topics: array<int>` (strictly ascending) and `probs:
+  * array<double>` (p(e|z) of each listed topic, in (0, 1]), with the graph's
+  * |Z| in the `topics` field's metadata ([[topicsMetadata]]; see
+  * `ReverseTopicCsr.build`), vertex ids are dense in
   * `[0, n)` (`n ≤ Int.MaxValue - 1`), and `edges` is deterministic —
   * recomputing it yields the same rows, as every in-repo source does because
   * they are hash-seeded.
@@ -43,6 +48,16 @@ object MrrSampler {
 
   private val TagRoot = 201L
   private val TagCoin = 202L
+
+  /** The `topics` field's metadata key that holds the graph's |Z|. */
+  val NumTopicsKey = "numTopics"
+
+  /** Metadata for an edge table's `topics` field on a graph of `numTopics`
+    * topics: Spark keeps it through `select`, `persist` and
+    * `createDataFrame` with an explicit schema.
+    */
+  def topicsMetadata(numTopics: Int): Metadata =
+    new MetadataBuilder().putLong(NumTopicsKey, numTopics.toLong).build()
 
   private val RowSchema = StructType(Seq(
     StructField("sample", IntegerType, nullable = false),
@@ -65,7 +80,7 @@ object MrrSampler {
     * `inOff(v) until inOff(v + 1)`, edge `e` runs `src(e) → v`, and its
     * non-zero topic probabilities are `prob(k)` for topic `topic(k)`, `k` in
     * `topOff(e) until topOff(e + 1)`, topics ascending. `numTopics` is the
-    * edges' topic arity, -1 for an empty graph.
+    * graph's |Z|.
     */
   private final class ReverseTopicCsr(
       val numTopics: Int,
@@ -91,89 +106,99 @@ object MrrSampler {
   private object ReverseTopicCsr {
 
     /** One partition's edges in input order, copied out of the edge rows:
-      * edge `i` runs `src(i) → dst(i)` with `arity(i)` topics, of which
-      * `nnz(i)` are non-zero and listed in `topic`/`prob`, topics ascending.
-      * `nullEdge` names the first edge holding a null; the driver then
-      * rejects the part without reading its arrays.
+      * edge `i` runs `src(i) → dst(i)` and lists `nnz(i)` topics in
+      * `topic`/`prob`, as its row lists them. `badEdge` names the first edge
+      * holding a null or topics and probs of different lengths; the driver
+      * then rejects the part without reading its arrays.
       */
     final case class Part(
         dst: Array[Long],
         src: Array[Long],
-        arity: Array[Int],
         nnz: Array[Int],
         topic: Array[Int],
         prob: Array[Double],
-        nullEdge: Option[String])
+        badEdge: Option[String])
 
     /** One pass over the edge rows as `queryExecution.toRdd` yields them,
-      * read in place at the three columns' ordinals: each task copies its
+      * read in place at the four columns' ordinals: each task copies its
       * edges out into one [[Part]] of primitive arrays. The driver checks
       * every edge, then lays the edges out by `dst` with a stable counting
       * sort that takes the parts in order, so each vertex's in-edges keep
       * their edge-table order.
       *
-      * Column contract: `src: long`, `dst: long`, `probs: array<double>`,
-      * found by name. A missing column or any other type (an `int` endpoint
-      * included) raises an `IllegalArgumentException` naming the column and
-      * both types; nothing is cast. So, naming the edge, do a null endpoint,
-      * `probs` or p(e|z), an endpoint outside `[0, n)`, a topic arity that
-      * differs from another edge's and a non-zero p(e|z) outside (0, 1].
+      * Column contract: `src: long`, `dst: long`, `topics: array<int>` and
+      * `probs: array<double>`, found by name, with the graph's |Z| as a
+      * positive `numTopics` in the `topics` field's metadata
+      * ([[topicsMetadata]]). A missing column or any other type (an `int`
+      * endpoint or a dense table without `topics` included) raises an
+      * `IllegalArgumentException` naming the column and both types; nothing
+      * is cast. So does missing or non-positive `numTopics`, and, naming the
+      * edge, a null endpoint, array or array element, an endpoint outside
+      * `[0, n)`, `topics` and `probs` of different lengths, a topic outside
+      * `[0, numTopics)`, topics that are not strictly ascending and a
+      * p(e|z) outside (0, 1].
       */
     def build(edges: DataFrame, n: Long): ReverseTopicCsr = {
-      val columns = Seq("src" -> LongType, "dst" -> LongType, "probs" -> ArrayType(DoubleType))
+      val columns = Seq("src" -> LongType, "dst" -> LongType,
+        "topics" -> ArrayType(IntegerType), "probs" -> ArrayType(DoubleType))
       for ((name, want) <- columns) {
         val got = edges.schema.find(_.name == name).map(_.dataType)
         require(got.map { case ArrayType(t, _) => ArrayType(t); case t => t }.contains(want),
           s"column $name must be ${want.simpleString}, got ${got.fold("no such column")(_.simpleString)}")
       }
+      val meta = edges.schema("topics").metadata
+      val numTopics = if (meta.contains(NumTopicsKey)) Try(meta.getLong(NumTopicsKey)).toOption else None
+      require(numTopics.exists(z => z > 0 && z <= Int.MaxValue),
+        s"column topics must carry a positive $NumTopicsKey in its metadata, got " +
+          (if (meta.contains(NumTopicsKey)) meta.json else "none"))
+      val z = numTopics.get.toInt
       // A fresh projection, not `edges`' own QueryExecution, whose executed
       // plan and scan buffers (about 5 MB on the tweet-like graph) the CSR
       // cache would keep alive through `edges`.
-      val (si, di, pi) = (0, 1, 2)
-      val parts = edges.select("src", "dst", "probs").queryExecution.toRdd
-        .mapPartitions { rows =>
+      val (si, di, ti, pi) = (0, 1, 2, 3)
+      val parts = edges.sparkSession.sparkContext.runJob(
+        edges.select("src", "dst", "topics", "probs").queryExecution.toRdd,
+        (rows: Iterator[InternalRow]) => {
           val dst = new mutable.ArrayBuilder.ofLong
           val src = new mutable.ArrayBuilder.ofLong
-          val arity = new mutable.ArrayBuilder.ofInt
           val nnz = new mutable.ArrayBuilder.ofInt
           val topic = new mutable.ArrayBuilder.ofInt
           val prob = new mutable.ArrayBuilder.ofDouble
-          var nullEdge: String = null
-          while (nullEdge == null && rows.hasNext) {
+          var badEdge: String = null
+          while (badEdge == null && rows.hasNext) {
             val r = rows.next()
             if (r.isNullAt(si) || r.isNullAt(di)) {
               def show(i: Int): String = if (r.isNullAt(i)) "null" else r.getLong(i).toString
-              nullEdge = s"edge ${show(si)}→${show(di)} has a null endpoint"
-            } else if (r.isNullAt(pi)) nullEdge = s"edge ${r.getLong(si)}→${r.getLong(di)} has null probs"
-            else {
-              val ps = r.getArray(pi)
-              val a = ps.numElements()
-              var count = 0
-              var k = 0
-              while (nullEdge == null && k < a) {
-                if (ps.isNullAt(k)) nullEdge = s"edge ${r.getLong(si)}→${r.getLong(di)} has p(e|z=$k) = null"
-                else {
-                  val p = ps.getDouble(k)
-                  if (p != 0.0) { topic += k; prob += p; count += 1 }
+              badEdge = s"edge ${show(si)}→${show(di)} has a null endpoint"
+            } else {
+              def edge = s"edge ${r.getLong(si)}→${r.getLong(di)}"
+              if (r.isNullAt(ti)) badEdge = s"$edge has null topics"
+              else if (r.isNullAt(pi)) badEdge = s"$edge has null probs"
+              else {
+                val ts = r.getArray(ti)
+                val ps = r.getArray(pi)
+                val a = ts.numElements()
+                if (ps.numElements() != a) badEdge = s"$edge has $a topics but ${ps.numElements()} probs"
+                var k = 0
+                while (badEdge == null && k < a) {
+                  if (ts.isNullAt(k)) badEdge = s"$edge has a null topic at position $k"
+                  else if (ps.isNullAt(k)) badEdge = s"$edge has p(e|z=${ts.getInt(k)}) = null"
+                  else { topic += ts.getInt(k); prob += ps.getDouble(k) }
+                  k += 1
                 }
-                k += 1
+                dst += r.getLong(di)
+                src += r.getLong(si)
+                nnz += a
               }
-              dst += r.getLong(di)
-              src += r.getLong(si)
-              arity += a
-              nnz += count
             }
           }
-          Iterator.single(Part(dst.result(), src.result(), arity.result(), nnz.result(),
-            topic.result(), prob.result(), Option(nullEdge)))
-        }
-        .collect()
+          Part(dst.result(), src.result(), nnz.result(), topic.result(), prob.result(), Option(badEdge))
+        })
 
       // Every check of an edge runs before its endpoints index anything.
-      val numTopics = parts.find(_.arity.nonEmpty).fold(-1)(_.arity(0))
       val inOff = new Array[Int](n.toInt + 1)
       parts.foreach { part =>
-        part.nullEdge.foreach(msg => throw new IllegalArgumentException(msg))
+        part.badEdge.foreach(msg => throw new IllegalArgumentException(msg))
         var k = 0
         var i = 0
         while (i < part.dst.length) {
@@ -181,11 +206,15 @@ object MrrSampler {
           val d = part.dst(i)
           require(d >= 0 && d < n, s"edge endpoint $d out of [0, $n)")
           require(s >= 0 && s < n, s"edge endpoint $s out of [0, $n)")
-          require(part.arity(i) == numTopics, s"edge $s→$d carries ${part.arity(i)} topics, others $numTopics")
           val end = k + part.nnz(i)
+          var prev = -1
           while (k < end) {
+            val t = part.topic(k)
             val p = part.prob(k)
-            require(p > 0 && p <= 1, s"edge $s→$d has p(e|z=${part.topic(k)}) = $p, outside (0, 1]")
+            require(t >= 0 && t < z, s"edge $s→$d has topic $t outside [0, $z)")
+            require(t > prev, s"edge $s→$d lists topic $t after topic $prev: topics must be strictly ascending")
+            require(p > 0 && p <= 1, s"edge $s→$d has p(e|z=$t) = $p, outside (0, 1]")
+            prev = t
             k += 1
           }
           inOff(d.toInt + 1) += 1
@@ -228,7 +257,7 @@ object MrrSampler {
           i += 1
         }
       }
-      new ReverseTopicCsr(numTopics, inOff, src, topOff, topic, prob)
+      new ReverseTopicCsr(z, inOff, src, topOff, topic, prob)
     }
   }
 
@@ -249,12 +278,14 @@ object MrrSampler {
 
   /** Samples partitioned across the cluster; each task runs a local reverse
     * BFS per (sample, piece) over the cached reverse topic-CSR of `edges`.
-    * Edges with `p ≤ 0` are never live. A mistyped or missing edge column, a
-    * null edge value, edge endpoints outside `[0, n)`, mixed topic arity
-    * across edges, a non-zero topic probability p(e|z) outside (0, 1] (NaN
-    * included) and pieces whose topic arity differs from the edges' raise an
-    * `IllegalArgumentException` on the driver, before sampling starts, and
-    * so does an empty piece list.
+    * Edges with `p ≤ 0` are never live. A mistyped or missing edge column,
+    * missing or non-positive `numTopics` metadata, a null edge value or
+    * array element, edge endpoints outside `[0, n)`, `topics` and `probs` of
+    * different lengths, a topic outside `[0, |Z|)`, topics that are not
+    * strictly ascending, a topic probability p(e|z) outside (0, 1] (NaN
+    * included) and pieces whose topic arity differs from the graph's |Z|
+    * raise an `IllegalArgumentException` on the driver, naming the edge,
+    * before sampling starts, and so does an empty piece list.
     */
   def sampleBroadcast(
       spark: SparkSession,
@@ -267,7 +298,7 @@ object MrrSampler {
     val bc = csrFor(spark, edges, n)
     val numTopics = bc.value.numTopics
     pieces.foreach { t =>
-      require(numTopics < 0 || t.numTopics == numTopics,
+      require(t.numTopics == numTopics,
         s"topic arity mismatch: edge=$numTopics, piece=${t.numTopics}")
     }
     val weights = pieces.map(_.weights).toArray

@@ -177,6 +177,14 @@ class AuEvaluatorSpec extends SparkSpec {
     assert(causes.exists(t => String.valueOf(t.getMessage).contains("null in an MRR row")), e.toString)
   }
 
+  test("build takes a shuffled pool with repeats as the sorted distinct pool") {
+    val shuffled = new scala.util.Random(5).shuffle((promoters ++ promoters.take(40)).toSeq).toArray
+    assert(!shuffled.sameElements(promoters.sorted) && shuffled.distinct.length < shuffled.length)
+    val built = CoverageIndex.build(mrr, theta, pieces.length, TestDatasets.mini.nVertices, shuffled)
+    assert(built.promoters.sameElements(promoters.sorted.distinct))
+    assert(sameIndex(built, idx))
+  }
+
   test("build is independent of partitioning, duplicates included") {
     val doubled = mrr.union(mrr)
     def build(df: org.apache.spark.sql.DataFrame): CoverageIndex =

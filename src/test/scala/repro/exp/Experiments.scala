@@ -26,6 +26,8 @@ object Experiments {
     * @param idx        campaign MRR coverage index (ℓ pieces)
     * @param mixtureIdx single-piece RR index on the uniform topic mixture
     *                   (IM baseline's topic-agnostic view)
+    * @param cachedEdgesMb the persisted edge table's size in the block
+    *                   manager (`SparkContext.getRDDStorageInfo`), MiB
     */
   final case class Prepared(
       spec: GraphSpec,
@@ -35,6 +37,7 @@ object Experiments {
       idx: CoverageIndex,
       mixtureIdx: CoverageIndex,
       realizedEdges: Long,
+      cachedEdgesMb: Double,
       sampleTimeMs: Long)
 
   /** One method's outcome on one configuration. */
@@ -52,8 +55,13 @@ object Experiments {
       spec: GraphSpec,
       ell: Int,
       theta: Int): Prepared = {
+    // The persisted edge table's block-manager size: the cached RDDs that
+    // persist and count add.
+    def cachedRdds = spark.sparkContext.getRDDStorageInfo.map(i => i.id -> i.memSize).toMap
+    val cachedBefore = cachedRdds.keySet
     val edges = SocialGraphGen.generate(spark, spec).persist()
     val realizedEdges = edges.count()
+    val cachedEdgesMb = cachedRdds.collect { case (id, bytes) if !cachedBefore(id) => bytes }.sum / 1048576.0
     val pieces = ExperimentRunner.pieceVectors(ell, spec.numTopics, PrepareSeed)
     val promoters = SocialGraphGen.promoters(spec, PromoterFraction)
 
@@ -68,7 +76,7 @@ object Experiments {
       spark, edges, spec.nVertices, mixture, MrrSampler.MrrConfig(theta, seed = PrepareSeed + 1))
     val mixtureIdx = CoverageIndex.build(mixMrr, theta, 1, spec.nVertices, promoters)
 
-    Prepared(spec, edges, pieces, promoters, idx, mixtureIdx, realizedEdges, sampleTimeMs)
+    Prepared(spec, edges, pieces, promoters, idx, mixtureIdx, realizedEdges, cachedEdgesMb, sampleTimeMs)
   }
 
   /** Restrict a prepared dataset to its first `ell` pieces (pieces are

@@ -1,7 +1,10 @@
 package repro.graphgen
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.influence.MrrSampler
+import repro.util.HashRng
 
 class SocialGraphGenSpec extends SparkSpec {
 
@@ -37,9 +40,13 @@ class SocialGraphGenSpec extends SparkSpec {
   }
 
   test("probability vectors have the topic arity and stay in [0, 1]") {
-    edges.select("probs").collect().foreach { r =>
-      val probs = r.getSeq[Double](0)
-      assert(probs.length == spec.numTopics)
+    assert(edges.schema("topics").metadata.getLong(MrrSampler.NumTopicsKey) == spec.numTopics)
+    edges.select("topics", "probs").collect().foreach { r =>
+      val topics = r.getSeq[Int](0)
+      val probs = r.getSeq[Double](1)
+      assert(topics.length == probs.length)
+      assert(topics.forall(z => z >= 0 && z < spec.numTopics))
+      assert(topics.zip(topics.drop(1)).forall { case (a, b) => a < b }, s"topics $topics not strictly ascending")
       assert(probs.forall(p => p >= 0.0 && p <= 1.0))
     }
   }
@@ -49,6 +56,35 @@ class SocialGraphGenSpec extends SparkSpec {
       val nz = r.getSeq[Double](0).count(_ > 0)
       assert(nz >= 1 && nz <= spec.topicsPerEdge)
     }
+  }
+
+  /** Each edge's `(topics, probs)` against the non-zero entries of the dense
+    * vector the same `HashRng` draws fill, `if (p > probs(z)) probs(z) = p`.
+    */
+  private def assertSparseOfDense(g: GraphSpec, table: DataFrame): Unit = {
+    val indeg = table.groupBy("dst").count().collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val rows = table.select("src", "dst", "topics", "probs").collect()
+    assert(rows.length > 0.8 * g.targetEdges)
+    rows.foreach { r =>
+      val (s, d) = (r.getLong(0), r.getLong(1))
+      val dense = new Array[Double](g.numTopics)
+      for (t <- 0 until g.topicsPerEdge) {
+        val z = HashRng.uniformLong(g.numTopics, HashRng.mix(g.seed, SocialGraphGen.TagTopic, s, d), t.toLong).toInt
+        val jitter = 0.5 + HashRng.uniform(g.seed, SocialGraphGen.TagJitter, s, d, t.toLong)
+        val p = math.min(1.0, g.wcScale * jitter / indeg(d).toDouble)
+        if (p > dense(z)) dense(z) = p
+      }
+      val nonZero = dense.indices.filter(dense(_) != 0.0)
+      assert(r.getSeq[Int](2) == nonZero, s"edge $s→$d")
+      assert(r.getSeq[Double](3).map(java.lang.Double.doubleToLongBits) ==
+        nonZero.map(z => java.lang.Double.doubleToLongBits(dense(z))), s"edge $s→$d")
+    }
+  }
+
+  test("sparse topics are exactly the non-zero entries of the dense draw") {
+    assertSparseOfDense(spec, edges)
+    val tweet = SocialGraphGen.generate(spark, Datasets.tweetLike).persist()
+    try assertSparseOfDense(Datasets.tweetLike, tweet) finally tweet.unpersist()
   }
 
   test("out-degree distribution is heavy-tailed (power-law principle)") {
@@ -65,7 +101,8 @@ class SocialGraphGenSpec extends SparkSpec {
     // p(e|z) ≈ scale·jitter/indeg(dst) with jitter < 1.5 and ≤ topicsPerEdge
     // active topics, so Σ_in p(e|z) ≤ 1.5·wcScale per topic.
     val sums = edges
-      .select(col("dst"), posexplode(col("probs")).as(Seq("z", "p")))
+      .select(col("dst"), explode(arrays_zip(col("topics"), col("probs"))).as("e"))
+      .select(col("dst"), col("e.topics").as("z"), col("e.probs").as("p"))
       .where(col("p") > 0)
       .groupBy("dst", "z").agg(sum("p").as("s"))
       .agg(max("s")).head().getDouble(0)

@@ -2,7 +2,7 @@ package repro.influence
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types.{ArrayType, DoubleType, LongType, StructField, StructType}
+import org.apache.spark.sql.types.{ArrayType, DoubleType, IntegerType, LongType, Metadata, MetadataBuilder, StructField, StructType}
 import repro.SparkSpec
 import repro.graphgen.{SocialGraphGen, TestDatasets}
 import repro.influence.MrrSampler.MrrConfig
@@ -17,17 +17,23 @@ class MrrSamplerSpec extends SparkSpec {
   private lazy val exampleDf = TopicGraph.fromEdges(spark, ExampleGraphs.edges)
 
   /** An edge frame of nullable columns, for rows `fromEdges` cannot hold,
-    * in `slices` partitions as `parallelize` cuts them.
+    * in `slices` partitions as `parallelize` cuts them, its `topics` field
+    * carrying `topicsMeta` (|Z| = 2, Example 1's, by default).
     */
-  private def nullableEdges(edges: Seq[(Any, Any, Any)], slices: Int = 1): DataFrame =
+  private def nullableEdges(
+      edges: Seq[(Any, Any, Any, Any)],
+      slices: Int = 1,
+      topicsMeta: Metadata = MrrSampler.topicsMetadata(2)): DataFrame =
     spark.createDataFrame(
-      spark.sparkContext.parallelize(edges.map { case (s, d, ps) => Row(s, d, ps) }, slices),
+      spark.sparkContext.parallelize(edges.map { case (s, d, ts, ps) => Row(s, d, ts, ps) }, slices),
       StructType(Seq(
         StructField("src", LongType), StructField("dst", LongType),
+        StructField("topics", ArrayType(IntegerType, containsNull = true), nullable = true, topicsMeta),
         StructField("probs", ArrayType(DoubleType, containsNull = true)))))
 
-  private def exampleTuples: Seq[(Any, Any, Any)] =
-    ExampleGraphs.edges.map(e => (e.src, e.dst, e.probs.toSeq))
+  /** Example 1's sparse edge rows, as `fromEdges` writes them. */
+  private def exampleTuples: Seq[(Any, Any, Any, Any)] =
+    exampleDf.collect().toSeq.map(r => (r(0), r(1), r(2), r(3)))
 
   private def rejected(edges: DataFrame): String =
     intercept[IllegalArgumentException](MrrSampler.sampleBroadcast(
@@ -138,6 +144,9 @@ class MrrSamplerSpec extends SparkSpec {
         MrrSampler.sampleBroadcast(spark, TopicGraph.fromEdges(spark, edges), 5, ExampleGraphs.pieces, cfg))
       assert(e.getMessage.contains(s"edge 0→1 has p(e|z=0) = $bad"), e.getMessage)
     }
+    // A listed topic must be non-zero: the table keeps only non-zero p(e|z).
+    assert(rejected(nullableEdges(exampleTuples.updated(0, (0L, 1L, Seq(0), Seq(0.0))))) ==
+      "requirement failed: edge 0→1 has p(e|z=0) = 0.0, outside (0, 1]")
     assert(rows(MrrSampler.sampleBroadcast(spark, exampleDf, 5, ExampleGraphs.pieces, cfg)) ==
       RrReference.rows(exampleDf, 5, ExampleGraphs.pieces, cfg))
   }
@@ -198,11 +207,11 @@ class MrrSamplerSpec extends SparkSpec {
   }
 
   test("a null edge value is rejected on the driver, naming the edge") {
-    val cases = Seq[((Any, Any, Any), String)](
-      (null, 1L, Seq(1.0, 0.0)) -> "edge null→1 has a null endpoint",
-      (0L, null, Seq(1.0, 0.0)) -> "edge 0→null has a null endpoint",
-      (0L, 1L, null) -> "edge 0→1 has null probs",
-      (0L, 1L, Seq(null, 0.0)) -> "edge 0→1 has p(e|z=0) = null")
+    val cases = Seq[((Any, Any, Any, Any), String)](
+      (null, 1L, Seq(0), Seq(1.0)) -> "edge null→1 has a null endpoint",
+      (0L, null, Seq(0), Seq(1.0)) -> "edge 0→null has a null endpoint",
+      (0L, 1L, Seq(0), null) -> "edge 0→1 has null probs",
+      (0L, 1L, Seq(0), Seq(null)) -> "edge 0→1 has p(e|z=0) = null")
     for ((edge, msg) <- cases)
       assert(rejected(nullableEdges(exampleTuples.updated(0, edge))) == msg)
     // Nullable columns without a null are accepted.
@@ -212,9 +221,64 @@ class MrrSamplerSpec extends SparkSpec {
   }
 
   test("mixed topic arity across edges is rejected on the driver") {
-    val mixed = nullableEdges(exampleTuples.updated(5, (ExampleGraphs.C, ExampleGraphs.B, Seq(0.0, 1.0, 0.5))))
+    // The table has one |Z|; the non-zero entries of a 3-topic vector
+    // (0.0, 1.0, 0.5) name topic 2, outside Example 1's two topics.
+    val mixed = nullableEdges(exampleTuples.updated(5, (ExampleGraphs.C, ExampleGraphs.B, Seq(1, 2), Seq(1.0, 0.5))))
     val msg = rejected(mixed)
-    assert(msg.contains("edge 2→1 carries 3 topics, others 2"), msg)
+    assert(msg.contains("edge 2→1 has topic 2 outside [0, 2)"), msg)
+  }
+
+  test("an edge topic outside [0, |Z|) is rejected on the driver") {
+    for (bad <- Seq(-1, 2, Int.MaxValue))
+      assert(rejected(nullableEdges(exampleTuples.updated(3, (4L, 3L, Seq(0, bad).sorted, Seq(0.5, 0.5))))) ==
+        s"requirement failed: edge 4→3 has topic $bad outside [0, 2)")
+  }
+
+  test("unsorted or repeated edge topics are rejected on the driver") {
+    assert(rejected(nullableEdges(exampleTuples.updated(3, (4L, 3L, Seq(1, 0), Seq(1.0, 0.5))))) ==
+      "requirement failed: edge 4→3 lists topic 0 after topic 1: topics must be strictly ascending")
+    assert(rejected(nullableEdges(exampleTuples.updated(3, (4L, 3L, Seq(1, 1), Seq(1.0, 0.5))))) ==
+      "requirement failed: edge 4→3 lists topic 1 after topic 1: topics must be strictly ascending")
+  }
+
+  test("topics and probs of different lengths are rejected on the driver") {
+    assert(rejected(nullableEdges(exampleTuples.updated(2, (2L, 3L, Seq(0, 1), Seq(1.0))))) ==
+      "edge 2→3 has 2 topics but 1 probs")
+    assert(rejected(nullableEdges(exampleTuples.updated(2, (2L, 3L, Seq(0), Seq(1.0, 0.5))))) ==
+      "edge 2→3 has 1 topics but 2 probs")
+  }
+
+  test("a null topic list or topic is rejected on the driver, naming the edge") {
+    assert(rejected(nullableEdges(exampleTuples.updated(1, (1L, 2L, null, Seq(1.0))))) ==
+      "edge 1→2 has null topics")
+    assert(rejected(nullableEdges(exampleTuples.updated(1, (1L, 2L, Seq(0, null), Seq(1.0, 0.5))))) ==
+      "edge 1→2 has a null topic at position 1")
+  }
+
+  test("missing or non-positive numTopics metadata is rejected") {
+    def meta(build: MetadataBuilder => MetadataBuilder): Metadata = build(new MetadataBuilder).build()
+    val cases = Seq(
+      Metadata.empty -> "none",
+      meta(_.putLong("numTopics", 0L)) -> """{"numTopics":0}""",
+      meta(_.putLong("numTopics", -2L)) -> """{"numTopics":-2}""",
+      meta(_.putString("numTopics", "2")) -> """{"numTopics":"2"}""")
+    for ((m, got) <- cases)
+      assert(rejected(nullableEdges(exampleTuples, topicsMeta = m)) ==
+        s"requirement failed: column topics must carry a positive numTopics in its metadata, got $got")
+  }
+
+  test("a dense probs table is rejected, naming the missing topics column") {
+    import spark.implicits._
+    val dense = ExampleGraphs.edges.map(e => (e.src, e.dst, e.probs.toSeq)).toDF("src", "dst", "probs")
+    assert(rejected(dense) == "requirement failed: column topics must be array<int>, got no such column")
+    assert(rejected(exampleDf.withColumn("topics", col("topics").cast("array<bigint>"))) ==
+      "requirement failed: column topics must be array<int>, got array<bigint>")
+  }
+
+  test("the piece arity is checked against numTopics, even on an empty table") {
+    val e = intercept[IllegalArgumentException](MrrSampler.sampleBroadcast(
+      spark, nullableEdges(Seq.empty), 5, Seq(Piece.oneHot(0, 3)), MrrConfig(theta = 10, seed = 49L)))
+    assert(e.getMessage == "requirement failed: topic arity mismatch: edge=2, piece=3", e.getMessage)
   }
 
   test("an empty edge table yields singleton RR sets") {

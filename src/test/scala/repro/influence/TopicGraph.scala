@@ -1,13 +1,19 @@
 package repro.influence
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{ArrayType, DoubleType, IntegerType, LongType, StructField, StructType}
+import scala.jdk.CollectionConverters._
 
 /** Topic-aware influence graph substrate (§III-A).
   *
-  * Edges are a DataFrame with schema `(src: Long, dst: Long, probs: Array
-  * [Double])` where `probs(z) = p(e|z)`, vertex ids dense in `[0, n)`. All
-  * per-piece influence graphs are projections of this one table; the sampler
-  * evaluates `p(t, e)` ([[edgeProb]]) only at the edges it traverses.
+  * The served edge table is sparse: `(src: Long, dst: Long, topics:
+  * Array[Int], probs: Array[Double])`, where `topics` lists the edge's
+  * non-zero topics ascending, `probs(k) = p(e|topics(k))` and the graph's
+  * |Z| is the `topics` field's metadata (`MrrSampler.topicsMetadata`);
+  * vertex ids are dense in `[0, n)`. Driver-side references read it back as
+  * dense [[TopicEdge]]s. All per-piece influence graphs are projections of
+  * this one table; the sampler evaluates `p(t, e)` ([[edgeProb]]) only at
+  * the edges it traverses.
   */
 object TopicGraph {
 
@@ -24,21 +30,39 @@ object TopicGraph {
     math.min(1.0, s)
   }
 
-  /** Canonical edge row type for driver-side (exact/simulated) evaluation. */
+  /** Canonical edge row type for driver-side (exact/simulated) evaluation:
+    * the dense topic vector, `probs(z) = p(e|z)`.
+    */
   final case class TopicEdge(src: Long, dst: Long, probs: Array[Double])
 
-  /** Build the edge DataFrame from in-memory edges (tests, examples). */
+  /** Build the sparse edge table from in-memory dense edges (tests,
+    * examples): each edge keeps its non-zero entries.
+    */
   def fromEdges(spark: SparkSession, edges: Seq[TopicEdge]): DataFrame = {
-    val arity = edges.headOption.map(_.probs.length)
-    require(edges.forall(e => arity.contains(e.probs.length)),
-      "all edges must carry the same number of topics")
-    import spark.implicits._
-    edges.map(e => (e.src, e.dst, e.probs.toSeq)).toDF("src", "dst", "probs")
+    require(edges.nonEmpty, "need at least one edge to know the topic arity")
+    val arity = edges.head.probs.length
+    require(edges.forall(_.probs.length == arity), "all edges must carry the same number of topics")
+    val rows = edges.map { e =>
+      val topics = e.probs.indices.filter(e.probs(_) != 0.0)
+      Row(e.src, e.dst, topics, topics.map(e.probs(_)))
+    }
+    spark.createDataFrame(rows.asJava, StructType(Seq(
+      StructField("src", LongType, nullable = false),
+      StructField("dst", LongType, nullable = false),
+      StructField("topics", ArrayType(IntegerType, containsNull = false), nullable = false,
+        MrrSampler.topicsMetadata(arity)),
+      StructField("probs", ArrayType(DoubleType, containsNull = false), nullable = false))))
   }
 
-  /** Collect edges to the driver (exact oracle / forward simulator inputs). */
-  def collectEdges(edges: DataFrame): Seq[TopicEdge] =
-    edges.select("src", "dst", "probs").collect().toSeq.map { r =>
-      TopicEdge(r.getLong(0), r.getLong(1), r.getSeq[Double](2).toArray)
+  /** Collect edges to the driver as dense [[TopicEdge]]s of the table's |Z|
+    * (exact oracle / forward simulator inputs).
+    */
+  def collectEdges(edges: DataFrame): Seq[TopicEdge] = {
+    val numTopics = edges.schema("topics").metadata.getLong(MrrSampler.NumTopicsKey).toInt
+    edges.select("src", "dst", "topics", "probs").collect().toSeq.map { r =>
+      val probs = new Array[Double](numTopics)
+      r.getSeq[Int](2).zip(r.getSeq[Double](3)).foreach { case (z, p) => probs(z) = p }
+      TopicEdge(r.getLong(0), r.getLong(1), probs)
     }
+  }
 }
