@@ -61,16 +61,14 @@ final class CoverageIndex(
 
   /** Scan order: RR-coverage size descending, i.e. individual influence (the
     * root τ gain is `|coverage|·envGain(0,0)`), then candidate ascending.
-    * Sorted as one unboxed key `(Int.MaxValue − |coverage|) << 32 | c` each.
+    * Sorted as one unboxed key `(Int.MaxValue − |coverage|) << 32 | c` each;
+    * the primitive streams here and in `scanPiece` box no candidate.
     */
-  lazy val scanOrder: Array[Int] = {
-    val keys = Array.tabulate(candidateCount)(c => (Int.MaxValue - cov(c).length).toLong << 32 | c)
-    java.util.Arrays.sort(keys)
-    keys.map(_.toInt)
-  }
+  lazy val scanOrder: Array[Int] = java.util.stream.IntStream.range(0, candidateCount)
+    .mapToLong(c => (Int.MaxValue - cov(c).length).toLong << 32 | c).sorted().mapToInt(_.toInt).toArray
 
   /** The piece at each scan position. */
-  lazy val scanPiece: Array[Int] = scanOrder.map(pieceOf)
+  lazy val scanPiece: Array[Int] = java.util.Arrays.stream(scanOrder).map(pieceOf(_)).toArray
 
   /** The scan position of each candidate. */
   lazy val scanPosition: Array[Int] = {

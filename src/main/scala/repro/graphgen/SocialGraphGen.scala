@@ -1,6 +1,7 @@
 package repro.graphgen
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.influence.MrrSampler
 import repro.util.HashRng
@@ -94,7 +95,9 @@ object SocialGraphGen {
       .limit(spec.targetEdges.toInt)
       .drop("rank")
 
-    val indeg = edges.groupBy("dst").agg(count(lit(1)).as("indeg"))
+    // Counted over the one down-sampled edge set: the window sits on the
+    // top-N's single partition, so the pipeline is evaluated once.
+    val indeg = count(lit(1)).over(Window.partitionBy("dst"))
 
     // Insertion into the ascending topic list: exactly the non-zero entries
     // of the dense vector `if (p > probs(z)) probs(z) = p` fills.
@@ -123,8 +126,7 @@ object SocialGraphGen {
     }
 
     edges
-      .join(indeg, "dst")
-      .select(col("src"), col("dst"), mkTopics(col("src"), col("dst"), col("indeg")).as("t"))
+      .select(col("src"), col("dst"), mkTopics(col("src"), col("dst"), indeg).as("t"))
       .select(col("src"), col("dst"),
         col("t._1").as("topics", MrrSampler.topicsMetadata(spec.numTopics)), col("t._2").as("probs"))
   }
@@ -134,9 +136,8 @@ object SocialGraphGen {
     */
   def promoters(spec: GraphSpec, fraction: Double = 0.1): Array[Long] = {
     require(fraction > 0 && fraction <= 1, s"fraction must lie in (0,1], got $fraction")
-    (0L until spec.nVertices)
-      .filter(v => HashRng.uniform(spec.seed, TagPromoter, v) < fraction)
-      .toArray
+    java.util.stream.LongStream.range(0L, spec.nVertices)
+      .filter(v => HashRng.uniform(spec.seed, TagPromoter, v) < fraction).toArray
   }
 }
 

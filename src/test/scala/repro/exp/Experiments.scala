@@ -28,6 +28,7 @@ object Experiments {
     *                   (IM baseline's topic-agnostic view)
     * @param cachedEdgesMb the persisted edge table's size in the block
     *                   manager (`SparkContext.getRDDStorageInfo`), MiB
+    * @param generateMs time to generate, persist and count the edge table
     */
   final case class Prepared(
       spec: GraphSpec,
@@ -38,6 +39,7 @@ object Experiments {
       mixtureIdx: CoverageIndex,
       realizedEdges: Long,
       cachedEdgesMb: Double,
+      generateMs: Long,
       sampleTimeMs: Long)
 
   /** One method's outcome on one configuration. */
@@ -59,8 +61,10 @@ object Experiments {
     // persist and count add.
     def cachedRdds = spark.sparkContext.getRDDStorageInfo.map(i => i.id -> i.memSize).toMap
     val cachedBefore = cachedRdds.keySet
+    val tGen = System.nanoTime()
     val edges = SocialGraphGen.generate(spark, spec).persist()
     val realizedEdges = edges.count()
+    val generateMs = (System.nanoTime() - tGen) / 1000000L
     val cachedEdgesMb = cachedRdds.collect { case (id, bytes) if !cachedBefore(id) => bytes }.sum / 1048576.0
     val pieces = ExperimentRunner.pieceVectors(ell, spec.numTopics, PrepareSeed)
     val promoters = SocialGraphGen.promoters(spec, PromoterFraction)
@@ -76,7 +80,7 @@ object Experiments {
       spark, edges, spec.nVertices, mixture, MrrSampler.MrrConfig(theta, seed = PrepareSeed + 1))
     val mixtureIdx = CoverageIndex.build(mixMrr, theta, 1, spec.nVertices, promoters)
 
-    Prepared(spec, edges, pieces, promoters, idx, mixtureIdx, realizedEdges, cachedEdgesMb, sampleTimeMs)
+    Prepared(spec, edges, pieces, promoters, idx, mixtureIdx, realizedEdges, cachedEdgesMb, generateMs, sampleTimeMs)
   }
 
   /** Restrict a prepared dataset to its first `ell` pieces (pieces are

@@ -1,6 +1,7 @@
 package repro.graphgen
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.logical.{Join, Range => RangeScan}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.influence.MrrSampler
@@ -85,6 +86,35 @@ class SocialGraphGenSpec extends SparkSpec {
     assertSparseOfDense(spec, edges)
     val tweet = SocialGraphGen.generate(spark, Datasets.tweetLike).persist()
     try assertSparseOfDense(Datasets.tweetLike, tweet) finally tweet.unpersist()
+  }
+
+  /** SHA-256 of `generate`'s rows for `g` as `src dst topics probs-bits`
+    * lines, sorted by edge: pins every row and every p(e|z) bit.
+    */
+  private def rowDigest(g: GraphSpec): String = {
+    val lines = SocialGraphGen.generate(spark, g).select("src", "dst", "topics", "probs").collect().map { r =>
+      val bits = r.getSeq[Double](3).map(p => java.lang.Long.toHexString(java.lang.Double.doubleToLongBits(p)))
+      (r.getLong(0), r.getLong(1), s"${r.getLong(0)} ${r.getLong(1)} ${r.getSeq[Int](2).mkString(",")} ${bits.mkString(",")}")
+    }.sortBy(l => (l._1, l._2)).map(_._3)
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    lines.foreach(l => md.update(s"$l\n".getBytes("UTF-8")))
+    md.digest().map(b => f"$b%02x").mkString
+  }
+
+  test("generated rows are pinned by a digest of the sorted edge rows") {
+    assert(rowDigest(spec) == "a5b74a6397e51b221b90f0f71605bb81948b7da724ffef861bec6904541ae606")
+    assert(rowDigest(Datasets.lastfmLike) == "21a1d93cc5ee135226e5d9cbca76cc74fe68e8dd58d08c6fc4c6ffaa9370f921")
+  }
+
+  test("generate plans one Range scan and no join at both thresholds") {
+    val key = "spark.sql.autoBroadcastJoinThreshold"
+    val before = spark.conf.get(key)
+    try for (threshold <- Seq("-1", "10485760")) {
+      spark.conf.set(key, threshold)
+      val plan = SocialGraphGen.generate(spark, spec).queryExecution.optimizedPlan
+      assert(plan.collect { case r: RangeScan => r }.length == 1, s"threshold $threshold:\n$plan")
+      assert(plan.collect { case j: Join => j }.isEmpty, s"threshold $threshold:\n$plan")
+    } finally spark.conf.set(key, before)
   }
 
   test("out-degree distribution is heavy-tailed (power-law principle)") {
