@@ -1,8 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.types.{IntegerType, LongType}
+import repro.influence.MrrSampler
 import scala.collection.mutable
 
 /** Driver-side inverted index of MRR membership, restricted to the promoter
@@ -138,22 +137,26 @@ final class CoverageIndex(
 
 object CoverageIndex {
 
-  /** Build the index from sampler output `(sample, piece, v)`, keeping only
-    * promoter memberships.
+  /** Build the index of a campaign `MrrSampler.sampleBroadcast` drew,
+    * keeping only promoter memberships.
     *
-    * One job over the rows of `mrr.queryExecution.toRdd`, read in place at
-    * the three columns' ordinals: each task binary-searches `v` in the sorted
-    * pool and sends back one `Int` array of `(sample, piece, promoter
-    * position)` triples; non-promoter rows never leave the executors. The
-    * driver checks the ranges, lays the triples out per candidate with a
-    * counting sort and sorts and dedupes each list in place.
+    * `mrr` must be a frame `sampleBroadcast` returned, or that frame persisted
+    * or cached (they are the same object); any other frame, a union or
+    * projection of one included, raises an `IllegalArgumentException` naming
+    * `MrrSampler.sampleBroadcast`. The rows are never read: one job runs the
+    * frame's reverse BFS again, sliced as the frame is, and each task
+    * binary-searches every reached vertex in the sorted pool and sends back
+    * one `Int` array of `(sample, piece, promoter position)` triples, so
+    * non-promoter memberships never leave the executors. The driver checks
+    * the ranges and lays the triples out per candidate with a counting sort.
+    * Tasks hold ascending runs of samples, in slice order, and a vertex is
+    * reached once per (sample, piece), so every list comes out sorted and
+    * distinct.
     *
-    * Column contract, the sampler's row format: `sample: int`, `piece: int`,
-    * `v: long`, found by name. A missing column or any other type (an `int`
-    * `v` included) raises an `IllegalArgumentException` naming the column and
-    * both types; nothing is cast. A null value fails the job. A `sample`
-    * outside `[0, theta)` or a `piece` outside `[0, ell)` on a promoter row is
-    * rejected too. `promoters` may be unsorted and hold duplicates.
+    * `theta`, `ell` and `nVertices` must equal the sampler's θ, piece count
+    * and n: a larger θ would silently scale every σ down, a larger ℓ add
+    * empty pieces. A mismatch is rejected, naming both values. `promoters`
+    * may be unsorted and hold duplicates.
     */
   def build(
       mrr: DataFrame,
@@ -161,6 +164,11 @@ object CoverageIndex {
       ell: Int,
       nVertices: Long,
       promoters: Array[Long]): CoverageIndex = {
+    val sampling = MrrSampler.samplingOf(mrr).getOrElse(throw new IllegalArgumentException(
+      "build indexes only a frame MrrSampler.sampleBroadcast returned (or that frame persisted or cached)"))
+    require(theta == sampling.theta, s"theta $theta differs from the sampler's ${sampling.theta}")
+    require(ell == sampling.ell, s"ell $ell differs from the sampler's ${sampling.ell} pieces")
+    require(nVertices == sampling.n, s"nVertices $nVertices differs from the sampler's n = ${sampling.n}")
     val pool = {
       val sorted = promoters.clone()
       java.util.Arrays.sort(sorted)
@@ -168,22 +176,23 @@ object CoverageIndex {
       for (i <- 1 until sorted.length if sorted(i) != sorted(end - 1)) { sorted(end) = sorted(i); end += 1 }
       java.util.Arrays.copyOf(sorted, end)
     }
-    val Seq(si, pi, vi) = Seq("sample" -> IntegerType, "piece" -> IntegerType, "v" -> LongType).map { case (name, want) =>
-      val got = mrr.schema.find(_.name == name).map(_.dataType)
-      require(got.contains(want), s"column $name must be ${want.simpleString}, got ${got.fold("no such column")(_.simpleString)}")
-      mrr.schema.fieldIndex(name)
-    }
-    val triples = mrr.sparkSession.sparkContext.runJob(mrr.queryExecution.toRdd,
-      (rows: Iterator[InternalRow]) => {
-        val out = new mutable.ArrayBuilder.ofInt
-        rows.foreach { r =>
-          if (r.isNullAt(si) || r.isNullAt(pi) || r.isNullAt(vi))
-            throw new IllegalArgumentException("null in an MRR row (sample, piece, v)")
-          val p = java.util.Arrays.binarySearch(pool, r.getLong(vi))
-          if (p >= 0) { out += r.getInt(si); out += r.getInt(pi); out += p }
+    val triples = sampling.runJob(mrr.sparkSession.sparkContext) { (samples, walker) =>
+      val out = new mutable.ArrayBuilder.ofInt
+      samples.foreach { sample =>
+        var piece = 0
+        while (piece < ell) {
+          val size = walker.walk(sample, piece)
+          var i = 0
+          while (i < size) {
+            val p = java.util.Arrays.binarySearch(pool, walker.reached(i).toLong)
+            if (p >= 0) { out += sample; out += piece; out += p }
+            i += 1
+          }
+          piece += 1
         }
-        out.result()
-      })
+      }
+      out.result()
+    }
 
     // Counting sort: off(c) until off(c + 1) is candidate c's slice of flat.
     val nCand = pool.length * ell
@@ -204,15 +213,7 @@ object CoverageIndex {
       next(c) += 1
     }
     val cov = Array.tabulate(nCand) { c =>
-      val from = off(c)
-      val to = off(c + 1)
-      if (from == to) Array.emptyIntArray
-      else {
-        java.util.Arrays.sort(flat, from, to)
-        var end = from + 1
-        for (i <- from + 1 until to if flat(i) != flat(end - 1)) { flat(end) = flat(i); end += 1 }
-        java.util.Arrays.copyOfRange(flat, from, end)
-      }
+      if (off(c) == off(c + 1)) Array.emptyIntArray else java.util.Arrays.copyOfRange(flat, off(c), off(c + 1))
     }
     new CoverageIndex(theta, ell, nVertices, pool, cov)
   }

@@ -1,11 +1,14 @@
 package repro.influence
 
+import java.lang.ref.{Reference, WeakReference}
+import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.types.{ArrayType, DoubleType, IntegerType, LongType, Metadata, MetadataBuilder, StructField, StructType}
 import repro.util.HashRng
 import scala.collection.mutable
+import scala.reflect.ClassTag
 import scala.util.Try
 
 /** Multi-Reverse-Reachable (MRR) set sampling (§V-A).
@@ -32,8 +35,11 @@ import scala.util.Try
   * on one edge table reuses it. A call ships only its pieces' weight
   * vectors; the reverse BFS computes `p(t, e)` as a sparse dot over the
   * edge's topics at each edge it traverses. A cache miss drops the old broadcast without
-  * destroying it, because lazy results returned earlier still read it;
-  * Spark's ContextCleaner frees it once they are unreachable.
+  * destroying it, because lazy results returned earlier still read it, and so
+  * do their index builds; Spark's ContextCleaner frees it once they are
+  * unreachable. Each returned frame is registered with its [[Sampling]], so
+  * `CoverageIndex.build` walks the same samples again, fused with its
+  * promoter filter, instead of reading the rows.
   *
   * Contract: `edges` is the sparse topic edge table — columns `src: long`,
   * `dst: long`, `topics: array<int>` (strictly ascending) and `probs:
@@ -276,9 +282,125 @@ object MrrSampler {
       }
     }
 
+  /** A reverse BFS over one task's copy of the CSR, for the campaign's
+    * pieces: `walk(sample, piece)` grows the RR set of that (sample, piece)
+    * world and returns its size; `reached(0 until size)` then lists its
+    * vertices, root first, until the next walk. Edges with `p ≤ 0` are never
+    * live. Its scratch is two `Int[n]` arrays.
+    */
+  final class Walker private[MrrSampler] (
+      g: ReverseTopicCsr,
+      n: Int,
+      weights: Array[Array[Double]],
+      seed: Long) {
+
+    // seen(v) == epoch marks v reached in the current (sample, piece);
+    // reached(0 until size) lists those vertices and doubles as the queue.
+    private val seen = new Array[Int](n)
+    val reached = new Array[Int](n)
+    private var epoch = 0
+
+    def walk(sample: Int, piece: Int): Int = {
+      val w = weights(piece)
+      val root = rootOf(sample, n.toLong, seed).toInt
+      if (epoch == Int.MaxValue) { java.util.Arrays.fill(seen, 0); epoch = 0 }
+      epoch += 1
+      seen(root) = epoch
+      reached(0) = root
+      var size = 1
+      var head = 0
+      while (head < size) {
+        val v = reached(head)
+        head += 1
+        var e = g.inOff(v)
+        val end = g.inOff(v + 1)
+        while (e < end) {
+          val u = g.src(e)
+          if (seen(u) != epoch) {
+            val p = g.edgeProb(e, w)
+            if (p > 0 && edgeAlive(sample, piece, u.toLong, v.toLong, p, seed)) {
+              seen(u) = epoch
+              reached(size) = u
+              size += 1
+            }
+          }
+          e += 1
+        }
+      }
+      size
+    }
+  }
+
+  /** How a sampler frame was drawn: its `theta` samples over `n` vertices,
+    * its `ell` pieces and seed, and the CSR broadcast it walks.
+    */
+  final class Sampling private[MrrSampler] (
+      csr: Broadcast[ReverseTopicCsr],
+      weights: Array[Array[Double]],
+      seed: Long,
+      val theta: Int,
+      val n: Long) {
+
+    def ell: Int = weights.length
+
+    // One partition per default-parallelism slice, each an ascending run of
+    // sample ids, in order.
+    private def slices(sc: SparkContext) = sc.parallelize(0 until theta, sc.defaultParallelism)
+
+    /** One job over the samples, sliced as the frame slices them: each task
+      * runs `task` over its samples and its own [[Walker]], and the results
+      * come back in slice order.
+      */
+    def runJob[U: ClassTag](sc: SparkContext)(task: (Iterator[Int], Walker) => U): Array[U] = {
+      val (bc, w, s, size) = (csr, weights, seed, n.toInt)
+      sc.runJob(slices(sc), (samples: Iterator[Int]) => task(samples, new Walker(bc.value, size, w, s)))
+    }
+
+    /** The lazy `(sample, piece, v)` rows of every walk. */
+    private[MrrSampler] def frame(spark: SparkSession): DataFrame = {
+      val (bc, w, s, size, ell) = (csr, weights, seed, n.toInt, weights.length)
+      val rows = slices(spark.sparkContext).mapPartitions { samples =>
+        val walker = new Walker(bc.value, size, w, s)
+        samples.flatMap { sample =>
+          (0 until ell).iterator.flatMap { piece =>
+            val reached = walker.walk(sample, piece)
+            Iterator.range(0, reached).map(i => Row(sample, piece, walker.reached(i).toLong))
+          }
+        }
+      }
+      spark.createDataFrame(rows, RowSchema)
+    }
+  }
+
+  // Each frame sampleBroadcast returned, with how it was drawn. Keys are weak
+  // and compared by identity (a Dataset keeps Object's equals, and persist
+  // and cache return the frame itself). The broadcast is held weakly too: the
+  // frame's own closure holds it, and the registry keeps alive nothing its
+  // frames do not.
+  private final case class Drawn(
+      csr: WeakReference[Broadcast[ReverseTopicCsr]],
+      weights: Array[Array[Double]],
+      seed: Long,
+      theta: Int,
+      n: Long)
+  private val drawn = java.util.Collections.synchronizedMap(new java.util.WeakHashMap[DataFrame, Drawn])
+
+  /** The sampling behind a frame `sampleBroadcast` returned (or that frame
+    * persisted or cached), or `None` for any other frame, a union or
+    * projection of one included.
+    */
+  private[repro] def samplingOf(frame: DataFrame): Option[Sampling] = {
+    val s = Option(drawn.get(frame)).map(d => new Sampling(d.csr.get, d.weights, d.seed, d.theta, d.n))
+    // The frame holds the broadcast: keep it reachable until that is read.
+    Reference.reachabilityFence(frame)
+    s
+  }
+
   /** Samples partitioned across the cluster; each task runs a local reverse
-    * BFS per (sample, piece) over the cached reverse topic-CSR of `edges`.
-    * Edges with `p ≤ 0` are never live. A mistyped or missing edge column,
+    * BFS ([[Walker]]) per (sample, piece) over the cached reverse topic-CSR
+    * of `edges`. The frame is lazy and registered with its [[Sampling]], so
+    * `CoverageIndex.build` can run the same walks fused with its promoter
+    * filter instead of reading the rows. A mistyped or missing edge column,
     * missing or non-positive `numTopics` metadata, a null edge value or
     * array element, edge endpoints outside `[0, n)`, `topics` and `probs` of
     * different lengths, a topic outside `[0, |Z|)`, topics that are not
@@ -302,50 +424,8 @@ object MrrSampler {
         s"topic arity mismatch: edge=$numTopics, piece=${t.numTopics}")
     }
     val weights = pieces.map(_.weights).toArray
-    val seed = cfg.seed
-    val ell = weights.length
-
-    val sc = spark.sparkContext
-    val rows = sc.parallelize(0 until cfg.theta, sc.defaultParallelism)
-      .mapPartitions { it =>
-        val g = bc.value
-        // seen(v) == epoch marks v reached in the current (sample, piece);
-        // reached(0 until size) lists those vertices and doubles as the queue.
-        val seen = new Array[Int](n.toInt)
-        val reached = new Array[Int](n.toInt)
-        var epoch = 0
-        it.flatMap { sample =>
-          val root = rootOf(sample, n, seed).toInt
-          (0 until ell).iterator.flatMap { piece =>
-            val w = weights(piece)
-            if (epoch == Int.MaxValue) { java.util.Arrays.fill(seen, 0); epoch = 0 }
-            epoch += 1
-            seen(root) = epoch
-            reached(0) = root
-            var size = 1
-            var head = 0
-            while (head < size) {
-              val v = reached(head)
-              head += 1
-              var e = g.inOff(v)
-              val end = g.inOff(v + 1)
-              while (e < end) {
-                val u = g.src(e)
-                if (seen(u) != epoch) {
-                  val p = g.edgeProb(e, w)
-                  if (p > 0 && edgeAlive(sample, piece, u.toLong, v.toLong, p, seed)) {
-                    seen(u) = epoch
-                    reached(size) = u
-                    size += 1
-                  }
-                }
-                e += 1
-              }
-            }
-            Iterator.range(0, size).map(i => Row(sample, piece, reached(i).toLong))
-          }
-        }
-      }
-    spark.createDataFrame(rows, RowSchema)
+    val frame = new Sampling(bc, weights, cfg.seed, cfg.theta, n).frame(spark)
+    drawn.put(frame, Drawn(new WeakReference(bc), weights, cfg.seed, cfg.theta, n))
+    frame
   }
 }

@@ -9,11 +9,18 @@ package repro.influence
 final case class Piece(weights: Array[Double]) {
   require(weights.nonEmpty, "a piece needs at least one topic weight")
   require(weights.forall(w => w >= 0 && w <= 1), "topic weights must lie in [0,1]")
+  // A distribution: a sum above 1 would have the BFS clip p(t, e) to 1, and
+  // an all-zero piece spreads nowhere. The slack admits rounding such as
+  // uniformMixture's |Z| terms of 1/|Z|.
+  require(weights.sum > 0 && weights.sum <= 1 + Piece.SumSlack,
+    s"topic weights must sum to a value in (0, 1], got ${weights.sum}")
 
   def numTopics: Int = weights.length
 }
 
 object Piece {
+
+  private val SumSlack = 1e-9
 
   /** A piece entirely about topic `topic` (the experiments' default shape). */
   def oneHot(topic: Int, numTopics: Int): Piece = {

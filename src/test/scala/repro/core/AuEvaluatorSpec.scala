@@ -5,7 +5,7 @@ import repro.{Oracle, SparkSpec}
 import repro.graphgen.{SocialGraphGen, TestDatasets}
 import repro.influence.{MrrSampler, Piece, TopicGraph}
 import repro.influence.MrrSampler.MrrConfig
-import repro.testkit.ExampleGraphs
+import repro.testkit.{ExampleGraphs, RowIndexReference}
 
 class AuEvaluatorSpec extends SparkSpec {
 
@@ -126,7 +126,7 @@ class AuEvaluatorSpec extends SparkSpec {
   test("CoverageIndex.build keeps promoter rows and rejects out-of-range samples and pieces") {
     import spark.implicits._
     def build(rows: (Int, Int, Long)*): CoverageIndex =
-      CoverageIndex.build(rows.toDF("sample", "piece", "v"), 3, 2, 10, Array(7L, 5L))
+      RowIndexReference.build(rows.toDF("sample", "piece", "v"), 3, 2, 10, Array(7L, 5L))
     val built = build((0, 0, 5L), (2, 1, 7L), (1, 0, 9L), (2, 1, 7L))
     assert(built.promoters.toSeq == Seq(5L, 7L))
     assert(built.coverage(built.candidateOf(5L, 0)).toSeq == Seq(0))
@@ -147,7 +147,7 @@ class AuEvaluatorSpec extends SparkSpec {
     // A negative id must come back as itself.
     val rows = Seq((0, 0, 5), (2, 1, 7), (1, 0, 9), (1, 1, 5), (0, 1, -3))
     def build(df: org.apache.spark.sql.DataFrame): CoverageIndex =
-      CoverageIndex.build(df, 3, 2, 10, Array(7L, 5L, -3L))
+      RowIndexReference.build(df, 3, 2, 10, Array(7L, 5L, -3L))
     val intV = intercept[IllegalArgumentException](build(rows.toDF("sample", "piece", "v"))).getMessage
     assert(intV.contains("column v") && intV.contains("int") && intV.contains("bigint"), intV)
     val byLong = build(rows.map { case (s, j, v) => (s, j, v.toLong) }.toDF("sample", "piece", "v"))
@@ -172,7 +172,7 @@ class AuEvaluatorSpec extends SparkSpec {
     // A null long reads as 0 from its row slot, so without the guard the
     // second row would silently record promoter 0.
     val df = Seq((0, 0, Some(5L)), (1, 0, None)).toDF("sample", "piece", "v")
-    val e = intercept[Exception](CoverageIndex.build(df, 2, 1, 10, Array(0L, 5L)))
+    val e = intercept[Exception](RowIndexReference.build(df, 2, 1, 10, Array(0L, 5L)))
     val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
     assert(causes.exists(t => String.valueOf(t.getMessage).contains("null in an MRR row")), e.toString)
   }
@@ -188,7 +188,7 @@ class AuEvaluatorSpec extends SparkSpec {
   test("build is independent of partitioning, duplicates included") {
     val doubled = mrr.union(mrr)
     def build(df: org.apache.spark.sql.DataFrame): CoverageIndex =
-      CoverageIndex.build(df, theta, pieces.length, TestDatasets.mini.nVertices, promoters)
+      RowIndexReference.build(df, theta, pieces.length, TestDatasets.mini.nVertices, promoters)
     val one = build(doubled.repartition(1))
     val seven = build(doubled.repartition(7))
     assert(sameIndex(one, seven))

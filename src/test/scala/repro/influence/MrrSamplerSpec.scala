@@ -88,9 +88,11 @@ class MrrSamplerSpec extends SparkSpec {
   }
 
   test("a zero-probability campaign yields singleton RR sets") {
-    val pieces = Seq(Piece(Array(0.0, 0.0))) // relates to no topic
+    // Example 1 with a third topic that no edge carries, and a piece about it.
+    val thirdTopic = TopicGraph.fromEdges(spark, ExampleGraphs.edges.map(e => e.copy(probs = e.probs :+ 0.0)))
+    val pieces = Seq(Piece.oneHot(2, 3))
     val cfg = MrrConfig(theta = 30, seed = 13L)
-    val out = rows(MrrSampler.sampleBroadcast(spark, exampleDf, 5, pieces, cfg))
+    val out = rows(MrrSampler.sampleBroadcast(spark, thirdTopic, 5, pieces, cfg))
     assert(out.size == 30)
     out.foreach { case (s, j, v) =>
       assert(j == 0)

@@ -1,11 +1,14 @@
 package repro.testkit
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.types.{IntegerType, LongType}
 import repro.core.CoverageIndex
 import repro.influence.{MrrSampler, Piece, TopicGraph}
 import repro.influence.MrrSampler.MrrConfig
 import repro.influence.TopicGraph.TopicEdge
 import repro.util.HashRng
+import scala.collection.mutable
 
 /** The paper's running example (Figure 1): five users a..e (ids 0..4), two
   * topics, six deterministic edges — three on topic z₁, three on topic z₂ —
@@ -71,6 +74,61 @@ object RrReference {
         }
       }
     } yield (sample, piece, v)).toSet
+  }
+}
+
+/** The coverage index read from `(sample, piece, v)` rows, the reference
+  * `CoverageIndex.build`'s fused job is checked against: it reads any frame
+  * of the sampler's row format, not only the sampler's own.
+  */
+object RowIndexReference {
+
+  /** One job over the rows of `mrr.queryExecution.toRdd`, read in place at
+    * the three columns' ordinals: each task binary-searches `v` in the sorted
+    * distinct pool and sends back one `Int` array of `(sample, piece,
+    * promoter position)` triples. The driver checks the ranges, lays the
+    * triples out per candidate with a counting sort and sorts and dedupes
+    * each list.
+    *
+    * Column contract, the sampler's row format: `sample: int`, `piece: int`,
+    * `v: long`, found by name. A missing column or any other type (an `int`
+    * `v` included) raises an `IllegalArgumentException` naming the column and
+    * both types; nothing is cast. A null value fails the job. A `sample`
+    * outside `[0, theta)` or a `piece` outside `[0, ell)` on a promoter row is
+    * rejected too. `promoters` may be unsorted and hold duplicates.
+    */
+  def build(
+      mrr: DataFrame,
+      theta: Int,
+      ell: Int,
+      nVertices: Long,
+      promoters: Array[Long]): CoverageIndex = {
+    val pool = promoters.distinct.sorted
+    val Seq(si, pi, vi) = Seq("sample" -> IntegerType, "piece" -> IntegerType, "v" -> LongType).map { case (name, want) =>
+      val got = mrr.schema.find(_.name == name).map(_.dataType)
+      require(got.contains(want), s"column $name must be ${want.simpleString}, got ${got.fold("no such column")(_.simpleString)}")
+      mrr.schema.fieldIndex(name)
+    }
+    val triples = mrr.sparkSession.sparkContext.runJob(mrr.queryExecution.toRdd,
+      (rows: Iterator[InternalRow]) => {
+        val out = new mutable.ArrayBuilder.ofInt
+        rows.foreach { r =>
+          if (r.isNullAt(si) || r.isNullAt(pi) || r.isNullAt(vi))
+            throw new IllegalArgumentException("null in an MRR row (sample, piece, v)")
+          val p = java.util.Arrays.binarySearch(pool, r.getLong(vi))
+          if (p >= 0) { out += r.getInt(si); out += r.getInt(pi); out += p }
+        }
+        out.result()
+      })
+    val lists = Array.fill(pool.length * ell)(mutable.SortedSet.empty[Int])
+    for (t <- triples; i <- t.indices by 3) {
+      val sample = t(i)
+      val piece = t(i + 1)
+      require(sample >= 0 && sample < theta, s"sample $sample out of [0, $theta)")
+      require(piece >= 0 && piece < ell, s"piece $piece out of [0, $ell)")
+      lists(t(i + 2) * ell + piece) += sample
+    }
+    new CoverageIndex(theta, ell, nVertices, pool, lists.map(_.toArray))
   }
 }
 
