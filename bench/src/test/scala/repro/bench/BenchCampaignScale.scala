@@ -18,7 +18,7 @@ import repro.influence.MrrSampler.MrrConfig
   * garbage not yet collected and, in local mode, the tasks' own allocations,
   * because executors share the driver's JVM. The largest of the runs is
   * shown. `entries` is the index's total list length, one collected
-  * `(sample, piece, promoter)` triple each. `walker_kib` is the reverse BFS's
+  * `(candidate, sample)` pair each. `walker_kib` is the reverse BFS's
   * scratch per task, two `Int[n]` arrays; `tasks` run at a time.
   */
 class BenchCampaignScale extends BenchBase {

@@ -146,9 +146,9 @@ object CoverageIndex {
     * `MrrSampler.sampleBroadcast`. The rows are never read: one job runs the
     * frame's reverse BFS again, sliced as the frame is, and each task
     * binary-searches every reached vertex in the sorted pool and sends back
-    * one `Int` array of `(sample, piece, promoter position)` triples, so
-    * non-promoter memberships never leave the executors. The driver checks
-    * the ranges and lays the triples out per candidate with a counting sort.
+    * one `Int` array of `(candidate, sample)` pairs, so non-promoter
+    * memberships never leave the executors. The driver counts each
+    * candidate's pairs, allocates its list and fills it in arrival order.
     * Tasks hold ascending runs of samples, in slice order, and a vertex is
     * reached once per (sample, piece), so every list comes out sorted and
     * distinct.
@@ -176,7 +176,7 @@ object CoverageIndex {
       for (i <- 1 until sorted.length if sorted(i) != sorted(end - 1)) { sorted(end) = sorted(i); end += 1 }
       java.util.Arrays.copyOf(sorted, end)
     }
-    val triples = sampling.runJob(mrr.sparkSession.sparkContext) { (samples, walker) =>
+    val pairs = sampling.runJob(mrr.sparkSession.sparkContext) { (samples, walker) =>
       val out = new mutable.ArrayBuilder.ofInt
       samples.foreach { sample =>
         var piece = 0
@@ -185,7 +185,7 @@ object CoverageIndex {
           var i = 0
           while (i < size) {
             val p = java.util.Arrays.binarySearch(pool, walker.reached(i).toLong)
-            if (p >= 0) { out += sample; out += piece; out += p }
+            if (p >= 0) { out += p * ell + piece; out += sample }
             i += 1
           }
           piece += 1
@@ -194,26 +194,15 @@ object CoverageIndex {
       out.result()
     }
 
-    // Counting sort: off(c) until off(c + 1) is candidate c's slice of flat.
-    val nCand = pool.length * ell
-    val off = new Array[Int](nCand + 1)
-    for (t <- triples; i <- t.indices by 3) {
-      val sample = t(i)
-      val piece = t(i + 1)
-      require(sample >= 0 && sample < theta, s"sample $sample out of [0, $theta)")
-      require(piece >= 0 && piece < ell, s"piece $piece out of [0, $ell)")
-      off(t(i + 2) * ell + piece + 1) += 1
-    }
-    for (c <- 0 until nCand) off(c + 1) += off(c)
-    val flat = new Array[Int](off(nCand))
-    val next = java.util.Arrays.copyOf(off, nCand)
-    for (t <- triples; i <- t.indices by 3) {
-      val c = t(i + 2) * ell + t(i + 1)
-      flat(next(c)) = t(i)
+    // Count each candidate's samples, then fill its list in arrival order.
+    val count = new Array[Int](pool.length * ell)
+    for (t <- pairs; i <- t.indices by 2) count(t(i)) += 1
+    val cov = count.map(k => if (k == 0) Array.emptyIntArray else new Array[Int](k))
+    val next = new Array[Int](count.length)
+    for (t <- pairs; i <- t.indices by 2) {
+      val c = t(i)
+      cov(c)(next(c)) = t(i + 1)
       next(c) += 1
-    }
-    val cov = Array.tabulate(nCand) { c =>
-      if (off(c) == off(c + 1)) Array.emptyIntArray else java.util.Arrays.copyOfRange(flat, off(c), off(c + 1))
     }
     new CoverageIndex(theta, ell, nVertices, pool, cov)
   }

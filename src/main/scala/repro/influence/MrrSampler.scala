@@ -1,6 +1,6 @@
 package repro.influence
 
-import java.lang.ref.{Reference, WeakReference}
+import java.lang.ref.WeakReference
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
@@ -29,17 +29,18 @@ import scala.util.Try
   *
   * `sampleBroadcast` never materializes a per-piece influence graph. The
   * reverse topic-CSR is read in place from the topic-aware edge rows in one
-  * pass, each task sending back primitive arrays, and laid out on the driver
-  * by a counting sort; it is broadcast and kept in a single-slot cache keyed
-  * on the `edges` DataFrame's reference identity plus `n`, so every campaign
-  * on one edge table reuses it. A call ships only its pieces' weight
+  * pass, each task checking its edges and sending back primitive arrays, and
+  * laid out on the driver by a counting sort; it is broadcast and kept in a
+  * single-slot cache keyed on the `edges` DataFrame's reference identity plus
+  * `n`, so every campaign on one edge table reuses it. A call ships only its pieces' weight
   * vectors; the reverse BFS computes `p(t, e)` as a sparse dot over the
   * edge's topics at each edge it traverses. A cache miss drops the old broadcast without
   * destroying it, because lazy results returned earlier still read it, and so
   * do their index builds; Spark's ContextCleaner frees it once they are
-  * unreachable. Each returned frame is registered with its [[Sampling]], so
-  * `CoverageIndex.build` walks the same samples again, fused with its
-  * promoter filter, instead of reading the rows.
+  * unreachable. Each returned frame's task closure holds its one
+  * [[Sampling]], which a registry maps the frame to without keeping either
+  * alive, so `CoverageIndex.build` walks the same samples again, fused with
+  * its promoter filter, instead of reading the rows.
   *
   * Contract: `edges` is the sparse topic edge table — columns `src: long`,
   * `dst: long`, `topics: array<int>` (strictly ascending) and `probs:
@@ -111,26 +112,26 @@ object MrrSampler {
 
   private object ReverseTopicCsr {
 
-    /** One partition's edges in input order, copied out of the edge rows:
-      * edge `i` runs `src(i) → dst(i)` and lists `nnz(i)` topics in
-      * `topic`/`prob`, as its row lists them. `badEdge` names the first edge
-      * holding a null or topics and probs of different lengths; the driver
-      * then rejects the part without reading its arrays.
+    /** One partition's edges in input order, copied out of the edge rows
+      * and checked: edge `i` runs `src(i) → dst(i)` and lists `nnz(i)`
+      * topics in `topic`/`prob`, as its row lists them. `badEdge` names the
+      * first edge that fails a check; the task stops there, and the driver
+      * rejects the part without reading its arrays.
       */
     final case class Part(
-        dst: Array[Long],
-        src: Array[Long],
+        dst: Array[Int],
+        src: Array[Int],
         nnz: Array[Int],
         topic: Array[Int],
         prob: Array[Double],
         badEdge: Option[String])
 
     /** One pass over the edge rows as `queryExecution.toRdd` yields them,
-      * read in place at the four columns' ordinals: each task copies its
-      * edges out into one [[Part]] of primitive arrays. The driver checks
-      * every edge, then lays the edges out by `dst` with a stable counting
-      * sort that takes the parts in order, so each vertex's in-edges keep
-      * their edge-table order.
+      * read in place at the four columns' ordinals: each task checks its
+      * edges in input order and copies them out into one [[Part]] of
+      * primitive arrays. The driver lays the edges out by `dst` with a
+      * stable counting sort that takes the parts in order, so each vertex's
+      * in-edges keep their edge-table order.
       *
       * Column contract: `src: long`, `dst: long`, `topics: array<int>` and
       * `probs: array<double>`, found by name, with the graph's |Z| as a
@@ -138,11 +139,13 @@ object MrrSampler {
       * ([[topicsMetadata]]). A missing column or any other type (an `int`
       * endpoint or a dense table without `topics` included) raises an
       * `IllegalArgumentException` naming the column and both types; nothing
-      * is cast. So does missing or non-positive `numTopics`, and, naming the
-      * edge, a null endpoint, array or array element, an endpoint outside
-      * `[0, n)`, `topics` and `probs` of different lengths, a topic outside
-      * `[0, numTopics)`, topics that are not strictly ascending and a
-      * p(e|z) outside (0, 1].
+      * is cast. So does missing or non-positive `numTopics`, both checked on
+      * the driver before the job. The first edge in input order that holds
+      * a null endpoint, array or array element, `topics` and `probs` of
+      * different lengths, an endpoint outside `[0, n)`, a topic outside
+      * `[0, numTopics)`, topics that are not strictly ascending or a p(e|z)
+      * outside (0, 1] raises one too, naming the edge; its checks run in
+      * that order.
       */
     def build(edges: DataFrame, n: Long): ReverseTopicCsr = {
       val columns = Seq("src" -> LongType, "dst" -> LongType,
@@ -165,8 +168,8 @@ object MrrSampler {
       val parts = edges.sparkSession.sparkContext.runJob(
         edges.select("src", "dst", "topics", "probs").queryExecution.toRdd,
         (rows: Iterator[InternalRow]) => {
-          val dst = new mutable.ArrayBuilder.ofLong
-          val src = new mutable.ArrayBuilder.ofLong
+          val dst = new mutable.ArrayBuilder.ofInt
+          val src = new mutable.ArrayBuilder.ofInt
           val nnz = new mutable.ArrayBuilder.ofInt
           val topic = new mutable.ArrayBuilder.ofInt
           val prob = new mutable.ArrayBuilder.ofDouble
@@ -177,7 +180,9 @@ object MrrSampler {
               def show(i: Int): String = if (r.isNullAt(i)) "null" else r.getLong(i).toString
               badEdge = s"edge ${show(si)}→${show(di)} has a null endpoint"
             } else {
-              def edge = s"edge ${r.getLong(si)}→${r.getLong(di)}"
+              val s = r.getLong(si)
+              val d = r.getLong(di)
+              def edge = s"edge $s→$d"
               if (r.isNullAt(ti)) badEdge = s"$edge has null topics"
               else if (r.isNullAt(pi)) badEdge = s"$edge has null probs"
               else {
@@ -189,11 +194,24 @@ object MrrSampler {
                 while (badEdge == null && k < a) {
                   if (ts.isNullAt(k)) badEdge = s"$edge has a null topic at position $k"
                   else if (ps.isNullAt(k)) badEdge = s"$edge has p(e|z=${ts.getInt(k)}) = null"
-                  else { topic += ts.getInt(k); prob += ps.getDouble(k) }
                   k += 1
                 }
-                dst += r.getLong(di)
-                src += r.getLong(si)
+                if (badEdge == null && (d < 0 || d >= n)) badEdge = s"$edge has endpoint $d outside [0, $n)"
+                if (badEdge == null && (s < 0 || s >= n)) badEdge = s"$edge has endpoint $s outside [0, $n)"
+                k = 0
+                var prev = -1
+                while (badEdge == null && k < a) {
+                  val t = ts.getInt(k)
+                  val p = ps.getDouble(k)
+                  if (t < 0 || t >= z) badEdge = s"$edge has topic $t outside [0, $z)"
+                  else if (t <= prev) badEdge = s"$edge lists topic $t after topic $prev: topics must be strictly ascending"
+                  else if (!(p > 0 && p <= 1)) badEdge = s"$edge has p(e|z=$t) = $p, outside (0, 1]"
+                  else { topic += t; prob += p }
+                  prev = t
+                  k += 1
+                }
+                dst += d.toInt
+                src += s.toInt
                 nnz += a
               }
             }
@@ -201,32 +219,10 @@ object MrrSampler {
           Part(dst.result(), src.result(), nnz.result(), topic.result(), prob.result(), Option(badEdge))
         })
 
-      // Every check of an edge runs before its endpoints index anything.
+      // Every edge was checked in its task before its endpoints index anything.
+      parts.foreach(_.badEdge.foreach(msg => throw new IllegalArgumentException(msg)))
       val inOff = new Array[Int](n.toInt + 1)
-      parts.foreach { part =>
-        part.badEdge.foreach(msg => throw new IllegalArgumentException(msg))
-        var k = 0
-        var i = 0
-        while (i < part.dst.length) {
-          val s = part.src(i)
-          val d = part.dst(i)
-          require(d >= 0 && d < n, s"edge endpoint $d out of [0, $n)")
-          require(s >= 0 && s < n, s"edge endpoint $s out of [0, $n)")
-          val end = k + part.nnz(i)
-          var prev = -1
-          while (k < end) {
-            val t = part.topic(k)
-            val p = part.prob(k)
-            require(t >= 0 && t < z, s"edge $s→$d has topic $t outside [0, $z)")
-            require(t > prev, s"edge $s→$d lists topic $t after topic $prev: topics must be strictly ascending")
-            require(p > 0 && p <= 1, s"edge $s→$d has p(e|z=$t) = $p, outside (0, 1]")
-            prev = t
-            k += 1
-          }
-          inOff(d.toInt + 1) += 1
-          i += 1
-        }
-      }
+      parts.foreach(_.dst.foreach(d => inOff(d + 1) += 1))
       var v = 0
       while (v < n) { inOff(v + 1) += inOff(v); v += 1 }
 
@@ -240,10 +236,10 @@ object MrrSampler {
         val slot = new Array[Int](part.dst.length)
         var i = 0
         while (i < slot.length) {
-          val d = part.dst(i).toInt
+          val d = part.dst(i)
           slot(i) = next(d)
           next(d) += 1
-          src(slot(i)) = part.src(i).toInt
+          src(slot(i)) = part.src(i)
           topOff(slot(i) + 1) = part.nnz(i)
           i += 1
         }
@@ -332,14 +328,15 @@ object MrrSampler {
   }
 
   /** How a sampler frame was drawn: its `theta` samples over `n` vertices,
-    * its `ell` pieces and seed, and the CSR broadcast it walks.
+    * its `ell` pieces and seed, and the CSR broadcast it walks. Built once per
+    * frame, in `sampleBroadcast`, and held by that frame's own task closure.
     */
   final class Sampling private[MrrSampler] (
       csr: Broadcast[ReverseTopicCsr],
       weights: Array[Array[Double]],
       seed: Long,
       val theta: Int,
-      val n: Long) {
+      val n: Long) extends Serializable {
 
     def ell: Int = weights.length
 
@@ -347,24 +344,24 @@ object MrrSampler {
     // sample ids, in order.
     private def slices(sc: SparkContext) = sc.parallelize(0 until theta, sc.defaultParallelism)
 
+    // A task's walker over its copy of the CSR.
+    private def walker(): Walker = new Walker(csr.value, n.toInt, weights, seed)
+
     /** One job over the samples, sliced as the frame slices them: each task
       * runs `task` over its samples and its own [[Walker]], and the results
       * come back in slice order.
       */
-    def runJob[U: ClassTag](sc: SparkContext)(task: (Iterator[Int], Walker) => U): Array[U] = {
-      val (bc, w, s, size) = (csr, weights, seed, n.toInt)
-      sc.runJob(slices(sc), (samples: Iterator[Int]) => task(samples, new Walker(bc.value, size, w, s)))
-    }
+    def runJob[U: ClassTag](sc: SparkContext)(task: (Iterator[Int], Walker) => U): Array[U] =
+      sc.runJob(slices(sc), (samples: Iterator[Int]) => task(samples, walker()))
 
     /** The lazy `(sample, piece, v)` rows of every walk. */
     private[MrrSampler] def frame(spark: SparkSession): DataFrame = {
-      val (bc, w, s, size, ell) = (csr, weights, seed, n.toInt, weights.length)
       val rows = slices(spark.sparkContext).mapPartitions { samples =>
-        val walker = new Walker(bc.value, size, w, s)
+        val w = walker()
         samples.flatMap { sample =>
           (0 until ell).iterator.flatMap { piece =>
-            val reached = walker.walk(sample, piece)
-            Iterator.range(0, reached).map(i => Row(sample, piece, walker.reached(i).toLong))
+            val reached = w.walk(sample, piece)
+            Iterator.range(0, reached).map(i => Row(sample, piece, w.reached(i).toLong))
           }
         }
       }
@@ -372,29 +369,20 @@ object MrrSampler {
     }
   }
 
-  // Each frame sampleBroadcast returned, with how it was drawn. Keys are weak
-  // and compared by identity (a Dataset keeps Object's equals, and persist
-  // and cache return the frame itself). The broadcast is held weakly too: the
-  // frame's own closure holds it, and the registry keeps alive nothing its
+  // Each frame sampleBroadcast returned, with its Sampling. Keys are weak and
+  // compared by identity (a Dataset keeps Object's equals, and persist and
+  // cache return the frame itself). Values are weak too: the frame's own
+  // closure holds its Sampling, and the registry keeps alive nothing its
   // frames do not.
-  private final case class Drawn(
-      csr: WeakReference[Broadcast[ReverseTopicCsr]],
-      weights: Array[Array[Double]],
-      seed: Long,
-      theta: Int,
-      n: Long)
-  private val drawn = java.util.Collections.synchronizedMap(new java.util.WeakHashMap[DataFrame, Drawn])
+  private val drawn =
+    java.util.Collections.synchronizedMap(new java.util.WeakHashMap[DataFrame, WeakReference[Sampling]])
 
   /** The sampling behind a frame `sampleBroadcast` returned (or that frame
     * persisted or cached), or `None` for any other frame, a union or
     * projection of one included.
     */
-  private[repro] def samplingOf(frame: DataFrame): Option[Sampling] = {
-    val s = Option(drawn.get(frame)).map(d => new Sampling(d.csr.get, d.weights, d.seed, d.theta, d.n))
-    // The frame holds the broadcast: keep it reachable until that is read.
-    Reference.reachabilityFence(frame)
-    s
-  }
+  private[repro] def samplingOf(frame: DataFrame): Option[Sampling] =
+    Option(drawn.get(frame)).flatMap(s => Option(s.get))
 
   /** Samples partitioned across the cluster; each task runs a local reverse
     * BFS ([[Walker]]) per (sample, piece) over the cached reverse topic-CSR
@@ -407,7 +395,9 @@ object MrrSampler {
     * strictly ascending, a topic probability p(e|z) outside (0, 1] (NaN
     * included) and pieces whose topic arity differs from the graph's |Z|
     * raise an `IllegalArgumentException` on the driver, naming the edge,
-    * before sampling starts, and so does an empty piece list.
+    * before sampling starts, and so does an empty piece list. The per-edge
+    * checks run in the CSR build's tasks, so the first bad edge in input
+    * order is the one named.
     */
   def sampleBroadcast(
       spark: SparkSession,
@@ -423,9 +413,9 @@ object MrrSampler {
       require(t.numTopics == numTopics,
         s"topic arity mismatch: edge=$numTopics, piece=${t.numTopics}")
     }
-    val weights = pieces.map(_.weights).toArray
-    val frame = new Sampling(bc, weights, cfg.seed, cfg.theta, n).frame(spark)
-    drawn.put(frame, Drawn(new WeakReference(bc), weights, cfg.seed, cfg.theta, n))
+    val sampling = new Sampling(bc, pieces.map(_.weights).toArray, cfg.seed, cfg.theta, n)
+    val frame = sampling.frame(spark)
+    drawn.put(frame, new WeakReference(sampling))
     frame
   }
 }

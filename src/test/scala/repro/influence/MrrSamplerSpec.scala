@@ -1,5 +1,6 @@
 package repro.influence
 
+import java.lang.ref.WeakReference
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{ArrayType, DoubleType, IntegerType, LongType, Metadata, MetadataBuilder, StructField, StructType}
@@ -148,7 +149,7 @@ class MrrSamplerSpec extends SparkSpec {
     }
     // A listed topic must be non-zero: the table keeps only non-zero p(e|z).
     assert(rejected(nullableEdges(exampleTuples.updated(0, (0L, 1L, Seq(0), Seq(0.0))))) ==
-      "requirement failed: edge 0→1 has p(e|z=0) = 0.0, outside (0, 1]")
+      "edge 0→1 has p(e|z=0) = 0.0, outside (0, 1]")
     assert(rows(MrrSampler.sampleBroadcast(spark, exampleDf, 5, ExampleGraphs.pieces, cfg)) ==
       RrReference.rows(exampleDf, 5, ExampleGraphs.pieces, cfg))
   }
@@ -233,14 +234,20 @@ class MrrSamplerSpec extends SparkSpec {
   test("an edge topic outside [0, |Z|) is rejected on the driver") {
     for (bad <- Seq(-1, 2, Int.MaxValue))
       assert(rejected(nullableEdges(exampleTuples.updated(3, (4L, 3L, Seq(0, bad).sorted, Seq(0.5, 0.5))))) ==
-        s"requirement failed: edge 4→3 has topic $bad outside [0, 2)")
+        s"edge 4→3 has topic $bad outside [0, 2)")
   }
 
   test("unsorted or repeated edge topics are rejected on the driver") {
     assert(rejected(nullableEdges(exampleTuples.updated(3, (4L, 3L, Seq(1, 0), Seq(1.0, 0.5))))) ==
-      "requirement failed: edge 4→3 lists topic 0 after topic 1: topics must be strictly ascending")
+      "edge 4→3 lists topic 0 after topic 1: topics must be strictly ascending")
     assert(rejected(nullableEdges(exampleTuples.updated(3, (4L, 3L, Seq(1, 1), Seq(1.0, 0.5))))) ==
-      "requirement failed: edge 4→3 lists topic 1 after topic 1: topics must be strictly ascending")
+      "edge 4→3 lists topic 1 after topic 1: topics must be strictly ascending")
+  }
+
+  test("the first bad edge in input order is the one rejected") {
+    // One partition: an endpoint outside [0, 5) ahead of a null endpoint.
+    val edges = exampleTuples.updated(1, (1L, 7L, Seq(0), Seq(1.0))).updated(3, (null, 3L, Seq(0), Seq(1.0)))
+    assert(rejected(nullableEdges(edges)) == "edge 1→7 has endpoint 7 outside [0, 5)")
   }
 
   test("topics and probs of different lengths are rejected on the driver") {
@@ -281,6 +288,16 @@ class MrrSamplerSpec extends SparkSpec {
     val e = intercept[IllegalArgumentException](MrrSampler.sampleBroadcast(
       spark, nullableEdges(Seq.empty), 5, Seq(Piece.oneHot(0, 3)), MrrConfig(theta = 10, seed = 49L)))
     assert(e.getMessage == "requirement failed: topic arity mismatch: edge=2, piece=3", e.getMessage)
+  }
+
+  test("the frame registry keeps no sampling alive") {
+    var frame = MrrSampler.sampleBroadcast(spark, exampleDf, 5, ExampleGraphs.pieces, MrrConfig(theta = 20, seed = 71L))
+    val sampling = new WeakReference(MrrSampler.samplingOf(frame).get)
+    frame = null
+    // Collect without touching the registry, which would drop stale entries.
+    var rounds = 0
+    while (sampling.get != null && rounds < 50) { System.gc(); Thread.sleep(10); rounds += 1 }
+    assert(sampling.get == null, s"the sampling outlived its frame through $rounds collections")
   }
 
   test("an empty edge table yields singleton RR sets") {
